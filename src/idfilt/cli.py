@@ -13,7 +13,7 @@ import json
 import sys
 
 from .pipeline import analyze, mu_report, saturate_report, sigma_report
-from .specfile import SpecError, parse_spec
+from .specfile import MAX_TRUNC, SpecError, parse_spec
 
 
 def _load_spec(args):
@@ -28,8 +28,8 @@ def _load_spec(args):
         raise SystemExit(f"spec error: {exc}")
     if args.trunc is not None:
         spec.D = args.trunc
-        if not 1 <= spec.D <= 16:
-            raise SystemExit("spec error: --trunc outside supported envelope 1..16")
+        if not 1 <= spec.D <= MAX_TRUNC:
+            raise SystemExit(f"spec error: --trunc outside supported envelope 1..{MAX_TRUNC}")
     if args.emax is not None:
         spec.options.emax = args.emax
     if args.radical_n_max is not None:

@@ -17,6 +17,16 @@ class FieldError(ValueError):
     pass
 
 
+# The GF(p) elimination kernels hold a - f*b (a, f, b in [0, p)) in int64.
+_INT64_MAX = 2 ** 63 - 1
+
+
+def _check_word_size(p: int) -> None:
+    if (p - 1) ** 2 + (p - 1) > _INT64_MAX:
+        raise FieldError(f"GF({p}) is too large: the int64 elimination kernels "
+                         "need (p-1)^2 + (p-1) < 2^63")
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -167,6 +177,7 @@ class PrimeField(Field):
     m = 1
 
     def __init__(self, p: int):
+        _check_word_size(p)  # before is_prime: its trial division is slow for huge p
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
@@ -428,29 +439,39 @@ class RationalField(Field):
         return hash("rationals")
 
 
+def _prime_power(q: int):
+    """(p, m) with q = p^m and p prime; FieldError when q is no prime power."""
+    if q < 2:
+        raise FieldError(f"{q} is not a prime power")
+    _check_word_size(q)  # q >= p, and this bounds the root search below
+    for m in range(q.bit_length(), 0, -1):
+        p = round(q ** (1 / m))
+        if p ** m == q:
+            # the largest such m leaves the smallest root: a prime iff q is
+            # a prime power
+            if is_prime(p):
+                return p, m
+            break
+    raise FieldError(f"{q} is not a prime power")
+
+
 def field_from_spec(text: str) -> Field:
-    """Parse the field syntax used in spec files: GF(p), GF(p^m), QQ."""
+    """Parse the field syntax used in spec files: GF(p), GF(q), GF(p^m), QQ.
+
+    A prime power q spelled out, as in GF(9), is the same field as GF(3^2).
+    """
     s = text.strip()
     if s == "QQ":
         return RationalField()
     if s.startswith("GF(") and s.endswith(")"):
-        body = s[3:-1].strip()
-        if "^" in body:
-            ps, ms = body.split("^", 1)
-            try:
-                p, m = int(ps), int(ms)
-            except ValueError:
-                raise FieldError(f"bad field spec {text!r}")
-            if not is_prime(p):
-                raise FieldError(f"{body} is not a prime power with prime base")
-            if m == 1:
-                return PrimeField(p)
-            return ExtensionField(p, m)
+        base, caret, exp = s[3:-1].partition("^")
         try:
-            p = int(body)
+            p, m = int(base), int(exp) if caret else 1
         except ValueError:
             raise FieldError(f"bad field spec {text!r}")
-        if not is_prime(p):
-            raise FieldError(f"{p} is not a prime power")
-        return PrimeField(p)
+        if not caret:
+            p, m = _prime_power(p)
+        if m == 1:
+            return PrimeField(p)
+        return ExtensionField(p, m)
     raise FieldError(f"bad field spec {text!r}; expected GF(p), GF(p^m) or QQ")

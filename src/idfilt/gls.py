@@ -13,6 +13,16 @@ the primary representation and per-degree slices are derived views:
 
 Pivot choice is always the leftmost (graded-lex smallest) column, so every
 basis is the canonical RREF of its row space and outputs are deterministic.
+
+Every basis, over every field, is one 2-D numpy array: int64 entries in
+[0, p) over GF(p), and an object array holding the field's own scalars
+(coefficient tuples over GF(p^m), Fractions over QQ) otherwise.  Row
+selection, stacking and comparison are therefore one code path; only the
+private helpers _matrix, _rref, _reduce and _is_zero know the format and
+pick the kernel (rref_mod_p / reduce_mod_p or rref_generic /
+reduce_generic).  rref() offers the same engine for small matrices outside
+the truncated ring.
+
 Dense rows over at most C(D+d, d) columns; the supported envelope is
 d <= 6, D <= 16.  Finished subspaces are immutable and shareable.
 """
@@ -20,11 +30,13 @@ d <= 6, D <= 16.  Finished subspaces are immutable and shareable.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 from ._kernels import reduce_mod_p, rref_mod_p
 from ._linalg import reduce_generic, rref_generic
+from .fields import PrimeField
 from .poly import Poly, TruncationContext, grlex_key
 
 
@@ -41,18 +53,67 @@ def monomial_basis(nvars: int, D: int):
     return tuple(mons), index, degree_of
 
 
-def _is_prime_kind(field) -> bool:
-    return field.kind == "prime-field"
+# The four helpers below are the only code that knows how a field's matrices
+# are stored and which kernel eliminates them.  Everything else indexes,
+# stacks and compares the 2-D arrays they return.
+
+
+def _matrix(field, shape, cells=None):
+    """A matrix in the field's array format, zero or filled row-major from
+    the iterable cells: int64 entries in [0, p) for GF(p), an object array of
+    the field's own scalars otherwise.  A GF(p^m) tuple stays one cell."""
+    dtype = np.int64 if isinstance(field, PrimeField) else object
+    if cells is not None:
+        return np.fromiter(cells, dtype=dtype, count=np.prod(shape)).reshape(shape)
+    out = np.zeros(shape, dtype=dtype)  # calloc: unwritten zero pages stay free
+    if dtype is object:
+        out.fill(field.zero())
+    return out
+
+
+def _rref(field, rows):
+    """(canonical RREF rows as a matrix, pivot columns as ints) of a nonempty
+    list of vectors in the field's format, or of a matrix, which may be
+    overwritten."""
+    if isinstance(field, PrimeField):
+        mat = np.asarray(rows)
+        np.remainder(mat, field.p, out=mat)
+        red, piv = rref_mod_p(mat, field.p)
+        return red, piv.tolist()
+    red, piv = rref_generic([r.tolist() for r in rows], field)
+    return _matrix(field, (len(red), len(rows[0])), chain.from_iterable(red)), piv
+
+
+def _reduce(field, rows, pivots, v):
+    """Residue of the vector v modulo the row space of an RREF basis."""
+    if isinstance(field, PrimeField):
+        return reduce_mod_p(rows, np.asarray(pivots, dtype=np.int64), v, field.p)
+    out = reduce_generic(rows, pivots, v, field)
+    return _matrix(field, len(out), out)
+
+
+def _is_zero(field, v) -> bool:
+    if isinstance(field, PrimeField):
+        return not v.any()
+    return all(field.is_zero(c) for c in v)
+
+
+def rref(field, rows):
+    """Reduced row echelon form of a list of rows of field scalars.
+
+    Returns (rows, pivots): the nonzero RREF rows as lists of the field's
+    scalars (Python ints over GF(p)) and their pivot columns.
+    """
+    if not rows:
+        return [], []
+    mat = _matrix(field, (len(rows), len(rows[0])), chain.from_iterable(rows))
+    red, piv = _rref(field, mat)
+    return red.tolist(), piv
 
 
 def poly_to_vec(f: Poly, ctx: TruncationContext):
     mons, index, _ = monomial_basis(ctx.nvars, ctx.D)
-    if _is_prime_kind(ctx.field):
-        v = np.zeros(len(mons), dtype=np.int64)
-        for e, c in f.terms.items():
-            v[index[e]] = c % ctx.field.p
-        return v
-    v = [ctx.field.zero()] * len(mons)
+    v = _matrix(ctx.field, len(mons))
     for e, c in f.terms.items():
         v[index[e]] = c
     return v
@@ -61,25 +122,7 @@ def poly_to_vec(f: Poly, ctx: TruncationContext):
 def vec_to_poly(v, ctx: TruncationContext) -> Poly:
     mons, _, _ = monomial_basis(ctx.nvars, ctx.D)
     F = ctx.field
-    terms = {}
-    for i, m in enumerate(mons):
-        c = int(v[i]) if _is_prime_kind(F) else v[i]
-        if _is_prime_kind(F):
-            c = c % F.p
-        if not F.is_zero(c):
-            terms[m] = c
-    return Poly(F, ctx.nvars, terms)
-
-
-def _rref(ctx, rows):
-    if _is_prime_kind(ctx.field):
-        mat = np.asarray(rows, dtype=np.int64) if not isinstance(rows, np.ndarray) else rows
-        if mat.ndim == 1:
-            mat = mat.reshape(1, -1)
-        red, piv = rref_mod_p(mat % ctx.field.p, ctx.field.p)
-        return red, [int(c) for c in piv]
-    red, piv = rref_generic([list(r) for r in rows], ctx.field)
-    return red, piv
+    return Poly(F, ctx.nvars, {m: c for m, c in zip(mons, v.tolist()) if not F.is_zero(c)})
 
 
 class GradedSubspace:
@@ -101,14 +144,12 @@ class GradedSubspace:
 
     @staticmethod
     def from_vectors(ctx, vecs) -> "GradedSubspace":
-        N = len(monomial_basis(ctx.nvars, ctx.D)[0])
+        """Echelon basis of the span of a list of vectors (or of the rows of a
+        matrix, which may be overwritten)."""
         if len(vecs) == 0:
-            empty = np.zeros((0, N), dtype=np.int64) if _is_prime_kind(ctx.field) else []
-            return GradedSubspace(ctx, empty, ())
-        if _is_prime_kind(ctx.field):
-            rows, piv = _rref(ctx, np.array(vecs, dtype=np.int64))
-        else:
-            rows, piv = _rref(ctx, vecs)
+            N = len(monomial_basis(ctx.nvars, ctx.D)[0])
+            return GradedSubspace(ctx, _matrix(ctx.field, (0, N)), ())
+        rows, piv = _rref(ctx.field, vecs)
         return GradedSubspace(ctx, rows, piv)
 
     @staticmethod
@@ -126,18 +167,12 @@ class GradedSubspace:
             raise ValueError("context mismatch between subspaces")
 
     def reduce_vec(self, v):
-        if _is_prime_kind(self.ctx.field):
-            return reduce_mod_p(self.rows, np.asarray(self.pivots, dtype=np.int64),
-                                v, self.ctx.field.p)
-        return reduce_generic(self.rows, self.pivots, v, self.ctx.field)
+        return _reduce(self.ctx.field, self.rows, self.pivots, v)
 
     def contains_poly(self, f: Poly) -> bool:
         if f.degree() > self.ctx.D:
             raise ValueError("polynomial exceeds truncation degree")
-        r = self.reduce_vec(poly_to_vec(f, self.ctx))
-        if _is_prime_kind(self.ctx.field):
-            return not r.any()
-        return all(self.ctx.field.is_zero(c) for c in r)
+        return _is_zero(self.ctx.field, self.reduce_vec(poly_to_vec(f, self.ctx)))
 
     def reduce_poly(self, f: Poly) -> Poly:
         """Canonical residue of f modulo this subspace."""
@@ -147,38 +182,15 @@ class GradedSubspace:
 
     def contains_subspace(self, other: "GradedSubspace") -> bool:
         self._check_ctx(other)
-        for row in other.rows:
-            r = self.reduce_vec(np.array(row, dtype=np.int64)
-                                if _is_prime_kind(self.ctx.field) else row)
-            if _is_prime_kind(self.ctx.field):
-                if r.any():
-                    return False
-            elif not all(self.ctx.field.is_zero(c) for c in r):
-                return False
-        return True
+        return all(_is_zero(self.ctx.field, self.reduce_vec(row)) for row in other.rows)
 
     def equals(self, other: "GradedSubspace") -> bool:
         self._check_ctx(other)
-        if self.pivots != other.pivots:
-            return False
-        if _is_prime_kind(self.ctx.field):
-            return bool(np.array_equal(self.rows, other.rows))
-        return self.rows == other.rows
+        return self.pivots == other.pivots and bool(np.array_equal(self.rows, other.rows))
 
     def pivot_degrees(self):
         _, _, degree_of = monomial_basis(self.ctx.nvars, self.ctx.D)
         return [degree_of[c] for c in self.pivots]
-
-    def dim_from_degree(self, n: int) -> int:
-        """Dimension of S `intersect` m^n (rows with pivot degree >= n)."""
-        return sum(1 for d in self.pivot_degrees() if d >= n)
-
-    def intersect_power_m_rows(self, n: int):
-        """Rows spanning S `intersect` m^n."""
-        keep = [i for i, d in enumerate(self.pivot_degrees()) if d >= n]
-        if _is_prime_kind(self.ctx.field):
-            return self.rows[keep]
-        return [self.rows[i] for i in keep]
 
     def graded_slice(self, n: int):
         """Basis of the image of S `intersect` m^n in G_n, as homogeneous polys."""
@@ -197,22 +209,6 @@ class GradedSubspace:
     def basis_polys(self):
         return [vec_to_poly(row, self.ctx) for row in self.rows]
 
-    def solve_coords(self, f: Poly):
-        """Coefficients c with f = sum c_i row_i, or None when f is outside.
-
-        Reading pivot coordinates off the echelon basis; this is the
-        deterministic back-substitution used for leading-form lifts.
-        """
-        v = poly_to_vec(f.truncate(self.ctx.D), self.ctx)
-        F = self.ctx.field
-        if _is_prime_kind(F):
-            coords = [int(v[c]) % F.p for c in self.pivots]
-        else:
-            coords = [v[c] for c in self.pivots]
-        r = self.reduce_vec(v)
-        ok = (not r.any()) if _is_prime_kind(F) else all(F.is_zero(c) for c in r)
-        return coords if ok else None
-
     # subspace arithmetic ---------------------------------------------------
 
     def sum_with(self, other: "GradedSubspace") -> "GradedSubspace":
@@ -221,38 +217,24 @@ class GradedSubspace:
             return other
         if other.dim == 0:
             return self
-        if _is_prime_kind(self.ctx.field):
-            stacked = np.vstack([self.rows, other.rows])
-        else:
-            stacked = [list(r) for r in self.rows] + [list(r) for r in other.rows]
-        rows, piv = _rref(self.ctx, stacked)
+        rows, piv = _rref(self.ctx.field, np.vstack([self.rows, other.rows]))
         return GradedSubspace(self.ctx, rows, piv)
 
     def intersect(self, other: "GradedSubspace") -> "GradedSubspace":
         """Zassenhaus: reduce [[A A],[B 0]]; zero-left rows carry the meet."""
         self._check_ctx(other)
         ctx = self.ctx
-        N = len(monomial_basis(ctx.nvars, ctx.D)[0])
         if self.dim == 0 or other.dim == 0:
             return GradedSubspace.zero(ctx)
         F = ctx.field
-        if _is_prime_kind(F):
-            a, b = len(self.rows), len(other.rows)
-            block = np.zeros((a + b, 2 * N), dtype=np.int64)
-            block[:a, :N] = self.rows
-            block[:a, N:] = self.rows
-            block[a:, :N] = other.rows
-            red, _ = rref_mod_p(block, F.p)
-            keep = [r[N:] for r in red if not r[:N].any()]
-        else:
-            block = []
-            for r in self.rows:
-                block.append(list(r) + list(r))
-            zero = [F.zero()] * N
-            for r in other.rows:
-                block.append(list(r) + zero)
-            red, _ = rref_generic(block, F)
-            keep = [r[N:] for r in red if all(F.is_zero(c) for c in r[:N])]
+        N = len(monomial_basis(ctx.nvars, ctx.D)[0])
+        a, b = len(self.rows), len(other.rows)
+        block = _matrix(F, (a + b, 2 * N))
+        block[:a, :N] = self.rows
+        block[:a, N:] = self.rows
+        block[a:, :N] = other.rows
+        red, _ = _rref(F, block)
+        keep = [r[N:] for r in red if _is_zero(F, r[:N])]
         return GradedSubspace.from_vectors(ctx, keep)
 
     def coordinate_section(self, keep_columns) -> "GradedSubspace":
@@ -262,7 +244,6 @@ class GradedSubspace:
         pivot lands in the kept block vanish on the rest.
         """
         ctx = self.ctx
-        F = ctx.field
         N = len(monomial_basis(ctx.nvars, ctx.D)[0])
         keep = sorted(keep_columns)
         other = [c for c in range(N) if c not in set(keep)]
@@ -270,23 +251,10 @@ class GradedSubspace:
         cut = len(other)
         if self.dim == 0:
             return self
-        if _is_prime_kind(F):
-            mat = self.rows[:, perm].copy()
-            red, piv = rref_mod_p(mat, F.p)
-            sel = [i for i, c in enumerate(piv) if c >= cut]
-            back = np.zeros((len(sel), N), dtype=np.int64)
-            for k, i in enumerate(sel):
-                back[k, perm] = red[i]
-        else:
-            mat = [[row[c] for c in perm] for row in self.rows]
-            red, piv = rref_generic(mat, F)
-            sel = [i for i, c in enumerate(piv) if c >= cut]
-            back = []
-            for i in sel:
-                row = [F.zero()] * N
-                for j, c in enumerate(perm):
-                    row[c] = red[i][j]
-                back.append(row)
+        red, piv = _rref(ctx.field, self.rows[:, perm])
+        sel = [i for i, c in enumerate(piv) if c >= cut]
+        back = _matrix(ctx.field, (len(sel), N))
+        back[:, perm] = red[sel]
         return GradedSubspace.from_vectors(ctx, back)
 
     def dump(self) -> str:
@@ -355,17 +323,8 @@ def power_m(n: int, ctx: TruncationContext) -> GradedSubspace:
     n = max(n, 0)
     if n > ctx.D:
         return GradedSubspace.zero(ctx)
-    N = len(mons)
-    cols = [i for i in range(N) if degree_of[i] >= n]
-    F = ctx.field
-    if _is_prime_kind(F):
-        rows = np.zeros((len(cols), N), dtype=np.int64)
-        for k, c in enumerate(cols):
-            rows[k, c] = 1
-    else:
-        rows = []
-        for c in cols:
-            row = [F.zero()] * N
-            row[c] = F.one()
-            rows.append(row)
+    cols = [i for i in range(len(mons)) if degree_of[i] >= n]
+    rows = _matrix(ctx.field, (len(cols), len(mons)))
+    for k, c in enumerate(cols):
+        rows[k, c] = ctx.field.one()
     return GradedSubspace(ctx, rows, cols)

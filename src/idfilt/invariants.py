@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .diffop import DiffOp
 from .filtration import FiltrationSpec
-from .gls import GradedSubspace, ideal_image, power_m, subspace_intersect
+from .gls import GradedSubspace, ideal_image, power_m, rref, subspace_intersect
 from .leading import LGS
 from .poly import Poly, TruncationContext
 from .values import SatValue, sat_min
@@ -31,22 +31,14 @@ def _ceil_frac(q: Fraction) -> int:
     return -(-q.numerator // q.denominator)
 
 
-def _matrix_inverse(field, M):
+def _inverse(field, M):
+    """Inverse of a square matrix over field, or None when it is singular."""
     n = len(M)
-    aug = [list(M[i]) + [field.one() if j == i else field.zero() for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if not field.is_zero(aug[r][c])), None)
-        if piv is None:
-            return None
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = field.inv(aug[c][c])
-        aug[c] = [field.mul(inv, x) for x in aug[c]]
-        for r in range(n):
-            if r != c and not field.is_zero(aug[r][c]):
-                f = aug[r][c]
-                aug[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
+    red, piv = rref(field, [list(M[i]) + [field.one() if j == i else field.zero()
+                                          for j in range(n)] for i in range(n)])
+    if piv != list(range(n)):
+        return None
+    return [row[n:] for row in red]
 
 
 class HSystem:
@@ -109,10 +101,8 @@ class HSystem:
             if len(rows) == d:
                 break
             unit = [F.one() if j == i else F.zero() for j in range(d)]
-            trial = [list(r) for r in rows] + [unit]
-            from ._linalg import rref_generic
-            red, piv = rref_generic([list(r) for r in trial], F)
-            if len(piv) == len(trial):
+            _, piv = rref(F, rows + [unit])
+            if len(piv) == len(rows) + 1:
                 rows.append(unit)
         return rows
 
@@ -122,7 +112,7 @@ class HSystem:
             return ()
         ctx = self.ctx
         V = self._coords_matrix()
-        Vinv = _matrix_inverse(ctx.field, V)
+        Vinv = _inverse(ctx.field, V)
         if Vinv is None:
             raise ValueError("coords do not normalize the system")
         return tuple(h.substitute_linear(Vinv).truncate(ctx.D)
@@ -226,7 +216,7 @@ def _inverse_matrix_trunc(H: HSystem, M):
     F = ctx.field
     L = len(M)
     M0 = [[M[i][j].constant_term() for j in range(L)] for i in range(L)]
-    C0 = _matrix_inverse(F, M0)
+    C0 = _inverse(F, M0)
     if C0 is None:
         raise ValueError("coords do not normalize the system")
     # A = C0*M = I + N with N in m

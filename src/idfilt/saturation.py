@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diffop import hasse_apply, log_apply, multiindices_upto
-from .fields import FieldError
+from .fields import FieldError, RationalField
 from .filtration import FiltrationSpec
-from .gls import membership
+from .gls import membership, rref
 from .poly import Poly
 
 
@@ -170,24 +170,6 @@ def _exps_of(mon, nvars=None):
     return tuple(mon)
 
 
-def _solve_square(M, rhs):
-    """Solve an s x s rational system; None when singular."""
-    s = len(M)
-    aug = [list(M[i]) + [rhs[i]] for i in range(s)]
-    for c in range(s):
-        piv = next((r for r in range(c, s) if aug[r][c] != 0), None)
-        if piv is None:
-            return None
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for r in range(s):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [aug[i][s] for i in range(s)]
-
-
 def _theta_lp(gen_exps, w):
     """max sum(lam) subject to sum lam_i v_i <= w, lam >= 0, exactly.
 
@@ -213,12 +195,12 @@ def _theta_lp(gen_exps, w):
         e[j] = Fraction(1)
         rows.append((e, Fraction(0)))
     best = Fraction(0)
+    QQ = RationalField()
     for combo in itertools.combinations(range(len(rows)), s):
-        M = [rows[i][0] for i in combo]
-        rhs = [rows[i][1] for i in combo]
-        lam = _solve_square(M, rhs)
-        if lam is None:
+        red, piv = rref(QQ, [rows[i][0] + [rows[i][1]] for i in combo])
+        if piv != list(range(s)):  # singular basis: no vertex
             continue
+        lam = [row[s] for row in red]
         if any(x < 0 for x in lam):
             continue
         ok = True

@@ -135,6 +135,24 @@ def test_candidate_workflow_three_vars(tmp_path):
     assert [e["level"] for e in rep2["leading"]["lgs"]] == [1, 1, 1]
 
 
+def test_prime_power_field_spelling_same_report(tmp_path):
+    body = "vars: x, y\ntruncation: 6\ngen: x^3 + y^4 @ 3\n"
+    reports = []
+    for field in ("GF(9)", "GF(3^2)"):
+        p = tmp_path / f"{field}.txt"
+        p.write_text(f"field: {field}\n" + body, encoding="utf-8")
+        reports.append(run_cli("analyze", str(p), "--json").stdout)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["input"]["field"] == "GF(3^2)"
+
+
+def test_trunc_override_outside_envelope(showcase_file):
+    from idfilt.specfile import MAX_TRUNC
+    out = run_cli("analyze", showcase_file, "--trunc", str(MAX_TRUNC + 1), check=False)
+    assert out.returncode != 0
+    assert "spec error" in out.stderr and f"1..{MAX_TRUNC}" in out.stderr
+
+
 def test_spec_error_exit(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("field: GF(6)\nvars: x\ntruncation: 4\n", encoding="utf-8")

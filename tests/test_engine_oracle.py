@@ -1,0 +1,175 @@
+"""The elimination engine against a plain exact Gauss-Jordan oracle.
+
+The oracle below uses nothing but the Field interface, so these tests check
+whichever kernel the engine runs (numba or numpy over GF(p), the generic
+kernel over GF(p^m) and QQ) without depending on which one is installed.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from idfilt import gls
+from idfilt.fields import ExtensionField, PrimeField, RationalField
+from idfilt.gls import GradedSubspace, monomial_basis
+from idfilt.poly import Poly, TruncationContext
+
+FIELDS = [PrimeField(2), PrimeField(3), PrimeField(7), ExtensionField(2, 2),
+          ExtensionField(3, 2), RationalField(),
+          # the largest primes the int64 kernels accept
+          PrimeField(2147483647)]
+
+ORACLE = settings(max_examples=40, derandomize=True, database=None, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+
+
+# the oracle ------------------------------------------------------------------
+
+def gauss_jordan(F, rows):
+    """Canonical RREF (nonzero rows, pivot columns), leftmost pivots."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if not F.is_zero(rows[i][c])), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def residue(F, basis, v):
+    rows, pivots = basis
+    v = list(v)
+    for row, c in zip(rows, pivots):
+        f = v[c]
+        v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
+    return v
+
+
+def meet(F, A, B):
+    """Zassenhaus on the oracle's own elimination."""
+    a, b = A[0], B[0]
+    if not a or not b:
+        return [], []
+    N = len(a[0])
+    zero = [F.zero()] * N
+    red, _ = gauss_jordan(F, [r + r for r in a] + [r + zero for r in b])
+    return gauss_jordan(F, [r[N:] for r in red if all(F.is_zero(x) for x in r[:N])])
+
+
+def as_vec(f, ctx):
+    return [f.terms.get(m, ctx.field.zero()) for m in monomial_basis(ctx.nvars, ctx.D)[0]]
+
+
+def engine_basis(S):
+    return S.rows.tolist(), list(S.pivots)
+
+
+# inputs ----------------------------------------------------------------------
+
+def scalars(F):
+    if isinstance(F, PrimeField):
+        return st.integers(0, F.p - 1)
+    if isinstance(F, ExtensionField):
+        return st.tuples(*[st.integers(0, F.p - 1)] * F.m)
+    return st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def contexts(draw):
+    F = draw(st.sampled_from(FIELDS))
+    return TruncationContext(F, draw(st.integers(1, 3)), draw(st.integers(1, 4)),
+                             frozenset())
+
+
+def polys(draw, ctx):
+    """A few sparse polynomials, plus a sum of two of them so that dependent
+    rows occur often."""
+    mons = monomial_basis(ctx.nvars, ctx.D)[0]
+    out = [Poly(ctx.field, ctx.nvars,
+                draw(st.dictionaries(st.sampled_from(mons), scalars(ctx.field),
+                                     max_size=4)))
+           for _ in range(draw(st.integers(0, 4)))]
+    if len(out) >= 2 and draw(st.booleans()):
+        out.append(out[0] + out[-1])
+    return out
+
+
+@st.composite
+def two_sets(draw):
+    """A context and two polynomial lists in it."""
+    ctx = draw(contexts())
+    return ctx, polys(draw, ctx), polys(draw, ctx)
+
+
+@st.composite
+def matrices(draw):
+    F = draw(st.sampled_from(FIELDS))
+    ncols = draw(st.integers(1, 6))
+    return F, draw(st.lists(st.lists(scalars(F), min_size=ncols, max_size=ncols),
+                            min_size=1, max_size=5))
+
+
+# tests -----------------------------------------------------------------------
+
+@ORACLE
+@given(two_sets())
+def test_from_polys_and_reduce_poly(case):
+    ctx, gens, probes = case
+    F = ctx.field
+    S = GradedSubspace.from_polys(ctx, gens)
+    want = gauss_jordan(F, [as_vec(f, ctx) for f in gens])
+    assert engine_basis(S) == want
+    # the constant 1 leaves a residue supported on the first column alone
+    for f in probes + [Poly.one(F, ctx.nvars)]:
+        r = as_vec(S.reduce_poly(f), ctx)
+        assert r == residue(F, want, as_vec(f, ctx))
+        assert S.contains_poly(f) == all(F.is_zero(x) for x in r)
+
+
+@ORACLE
+@given(two_sets())
+def test_sum_and_intersect(case):
+    ctx, ga, gb = case
+    F = ctx.field
+    A, B = GradedSubspace.from_polys(ctx, ga), GradedSubspace.from_polys(ctx, gb)
+    a, b = gauss_jordan(F, [as_vec(f, ctx) for f in ga]), gauss_jordan(F, [as_vec(f, ctx) for f in gb])
+    assert engine_basis(A.sum_with(B)) == gauss_jordan(F, a[0] + b[0])
+    assert engine_basis(A.intersect(B)) == meet(F, a, b)
+
+
+@ORACLE
+@given(two_sets(), st.data())
+def test_coordinate_section(case, data):
+    ctx, gens, _ = case
+    F = ctx.field
+    N = len(monomial_basis(ctx.nvars, ctx.D)[0])
+    keep = data.draw(st.sets(st.integers(0, N - 1)))
+    S = GradedSubspace.from_polys(ctx, gens)
+    coords = [[F.one() if j == c else F.zero() for j in range(N)] for c in sorted(keep)]
+    want = meet(F, gauss_jordan(F, [as_vec(f, ctx) for f in gens]), (coords, sorted(keep)))
+    assert engine_basis(S.coordinate_section(keep)) == want
+
+
+@ORACLE
+@given(matrices())
+def test_rref(case):
+    F, rows = case
+    assert gls.rref(F, rows) == gauss_jordan(F, rows)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_rref_returns_python_scalars(F):
+    rows, pivots = gls.rref(F, [[F.zero(), F.one()], [F.one(), F.one()]])
+    assert pivots == [0, 1] and rows == [[F.one(), F.zero()], [F.zero(), F.one()]]
+    assert all(type(x) is type(F.one()) for row in rows for x in row)

@@ -104,7 +104,34 @@ def test_field_from_spec():
     assert field_from_spec("QQ") == RationalField()
     with pytest.raises(FieldError):
         field_from_spec("GF(6)")
-    with pytest.raises(FieldError):
-        field_from_spec("GF(4)")  # prime powers need the p^m form
+    assert field_from_spec("GF(4)") == ExtensionField(2, 2)
     with pytest.raises(FieldError):
         field_from_spec("R")
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49, 81])
+def test_field_from_spec_prime_power_spelling(q):
+    # GF(q) is the field GF(p^m) with q = p^m, and prints as GF(p^m)
+    F = field_from_spec(f"GF({q})")
+    assert F == field_from_spec(f"GF({F.p}^{F.m})")
+    assert F.p ** F.m == q and F.spec_str() == f"GF({F.p}^{F.m})"
+
+
+@pytest.mark.parametrize("q", [6, 12, 36, 100, 1])
+def test_field_from_spec_rejects_non_prime_powers(q):
+    with pytest.raises(FieldError, match="not a prime power"):
+        field_from_spec(f"GF({q})")
+
+
+@pytest.mark.parametrize("p", [4294967311, 10 ** 15 + 37])
+def test_prime_field_beyond_int64_kernels_rejected(p):
+    # the int64 kernels returned wrong RREFs silently at these primes; the
+    # bound is checked before the (slow) primality test
+    with pytest.raises(FieldError, match="too large"):
+        PrimeField(p)
+    with pytest.raises(FieldError, match="too large"):
+        field_from_spec(f"GF({p})")
+
+
+def test_largest_word_size_primes_accepted():
+    assert field_from_spec("GF(2147483647)") == PrimeField(2147483647)

@@ -36,6 +36,20 @@ def test_parse_error_bad_field():
     assert "prime power" in str(exc.value)
 
 
+def test_parse_prime_power_field_spelling():
+    body = "vars: x, y\ntruncation: 6\ngen: x^3 + y^4 @ 3\n"
+    spec = parse_spec("field: GF(9)\n" + body)
+    assert spec == parse_spec("field: GF(3^2)\n" + body)
+    assert print_spec(spec).startswith("field: GF(3^2)\n")
+
+
+def test_parse_error_prime_too_large():
+    with pytest.raises(SpecError) as exc:
+        parse_spec("field: GF(4294967311)\nvars: x\ntruncation: 4\n")
+    assert exc.value.code == "E_FIELD" and exc.value.line == 1
+    assert "int64" in str(exc.value)
+
+
 def test_parse_error_unknown_variable():
     with pytest.raises(SpecError) as exc:
         parse_spec("field: QQ\nvars: x\ntruncation: 4\ngen: x + w @ 1\n")
