@@ -2,93 +2,28 @@
 
 This is the hot loop of the whole library: every ideal image, membership
 test, subspace sum and intersection funnels into a reduced row echelon
-computation on an int64 matrix with entries in [0, p).  Two interchangeable
-implementations are provided:
-
-* a numba @njit kernel (default when numba imports), and
-* a vectorized numpy fallback.
-
-Set IDFILT_NO_NUMBA=1 to force the numpy path; benchmarks/bench_rref.py
-compares the two.  Entries stay below p <= a few thousand, so int64 products
-never overflow.
+computation on an int64 matrix with entries in [0, p).  The kernels are
+vectorized numpy: each pivot step clears its column with one outer-product
+update.  Entries stay below p, and PrimeField rejects any p with
+(p-1)^2 + (p-1) >= 2^63, so int64 products never overflow.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("IDFILT_NO_NUMBA", "") not in ("", "0")
 
-try:  # pragma: no cover - exercised indirectly
-    if _FORCE_NUMPY:
-        raise ImportError
-    from numba import njit
+def rref_mod_p(mat: np.ndarray, p: int):
+    """Reduced row echelon form of mat over F_p.
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-@njit(cache=True)
-def _inv_mod(a, p):  # Fermat inverse; p prime, a != 0 mod p
-    out = 1
-    base = a % p
-    e = p - 2
-    while e:
-        if e & 1:
-            out = (out * base) % p
-        base = (base * base) % p
-        e >>= 1
-    return out
-
-
-@njit(cache=True)
-def _rref_numba(a, p):
+    Consumes mat (int64, entries reduced mod p).  Returns (rows, pivots)
+    with unit pivot columns, zero rows dropped.  The rows own their memory
+    when rows were dropped, so a kept basis does not pin the whole buffer.
+    """
+    a = np.ascontiguousarray(mat, dtype=np.int64)
     rows, cols = a.shape
-    pivots = np.empty(min(rows, cols), np.int64)
-    npiv = 0
-    r = 0
-    for c in range(cols):
-        pr = -1
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                pr = i
-                break
-        if pr == -1:
-            continue
-        if pr != r:
-            for j in range(c, cols):
-                tmp = a[r, j]
-                a[r, j] = a[pr, j]
-                a[pr, j] = tmp
-        inv = _inv_mod(a[r, c], p)
-        if inv != 1:
-            for j in range(c, cols):
-                a[r, j] = (a[r, j] * inv) % p
-        for i in range(rows):
-            if i != r and a[i, c] != 0:
-                f = a[i, c]
-                for j in range(c, cols):
-                    a[i, j] = (a[i, j] - f * a[r, j]) % p
-        pivots[npiv] = c
-        npiv += 1
-        r += 1
-        if r == rows:
-            break
-    return a[:r], pivots[:npiv]
-
-
-def _rref_numpy(a, p):
-    rows, cols = a.shape
+    if rows == 0 or cols == 0:
+        return a[:0].copy(), np.empty(0, dtype=np.int64)
     pivots = []
     r = 0
     for c in range(cols):
@@ -108,23 +43,12 @@ def _rref_numpy(a, p):
         r += 1
         if r == rows:
             break
-    return a[:r], np.asarray(pivots, dtype=np.int64)
+    return (a if r == rows else a[:r].copy()), np.asarray(pivots, dtype=np.int64)
 
 
-@njit(cache=True)
-def _reduce_numba(rows, pivots, v, p):
-    out = v % p
-    for k in range(pivots.shape[0]):
-        c = pivots[k]
-        f = out[c]
-        if f != 0:
-            for j in range(rows.shape[1]):
-                out[j] = (out[j] - f * rows[k, j]) % p
-    return out
-
-
-def _reduce_numpy(rows, pivots, v, p):
-    out = v % p
+def reduce_mod_p(rows: np.ndarray, pivots: np.ndarray, v: np.ndarray, p: int):
+    """Residue of vector v modulo the row space of an RREF basis."""
+    out = np.ascontiguousarray(v, dtype=np.int64) % p
     for k, c in enumerate(pivots):
         f = out[c]
         if f:
@@ -132,29 +56,5 @@ def _reduce_numpy(rows, pivots, v, p):
     return out
 
 
-def rref_mod_p(mat: np.ndarray, p: int):
-    """Reduced row echelon form of mat over F_p.
-
-    Consumes mat (int64, entries reduced mod p).  Returns (rows, pivots)
-    with unit pivot columns, zero rows dropped.
-    """
-    a = np.ascontiguousarray(mat, dtype=np.int64)
-    if a.size == 0 or a.shape[0] == 0:
-        return a[:0], np.empty(0, dtype=np.int64)
-    if HAVE_NUMBA:
-        return _rref_numba(a, p)
-    return _rref_numpy(a, p)
-
-
-def reduce_mod_p(rows: np.ndarray, pivots: np.ndarray, v: np.ndarray, p: int):
-    """Residue of vector v modulo the row space of an RREF basis."""
-    v = np.ascontiguousarray(v, dtype=np.int64)
-    if len(pivots) == 0:
-        return v % p
-    if HAVE_NUMBA:
-        return _reduce_numba(rows, pivots, v.copy(), p)
-    return _reduce_numpy(rows, pivots, v, p)
-
-
 def backend_name() -> str:
-    return "numba" if HAVE_NUMBA else "numpy"
+    return "numpy"

@@ -281,14 +281,16 @@ class ExtensionField(Field):
     kind = "extension-field"
 
     def __init__(self, p: int, m: int, modulus=None):
-        if not is_prime(p):
-            raise FieldError(f"{p} is not prime")
         if m < 2:
             raise FieldError("extension degree must be >= 2")
         if modulus is None:
+            # every built-in key has a prime p, so only a supplied modulus
+            # needs the (slow for huge p) trial division below
             modulus = BUILTIN_MODULI.get((p, m))
             if modulus is None:
                 raise FieldError(f"no built-in modulus for GF({p}^{m}); supply one")
+        elif not is_prime(p):
+            raise FieldError(f"{p} is not prime")
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != m + 1:
             raise FieldError("modulus degree must equal the extension degree")

@@ -13,6 +13,11 @@ Root coordinates make everything plain linear algebra in G_1: taking p^e-th
 roots identifies the pure part at level e with a subspace U_e of the span
 of the variables, and the chain of pure parts becomes a chain of subspaces
 U_0 <= U_1 <= ... whose growth the extraction walks deterministically.
+
+The leading algebra is not stored: LeadingAlgebra reads each graded piece
+from the filtration's cached level ideal when asked, and the extraction
+asks only for the pure degrees 1, p, p^2, ..., so no other level ideal is
+ever built.
 """
 
 from __future__ import annotations
@@ -22,39 +27,41 @@ from dataclasses import dataclass
 
 from .fields import FieldError
 from .filtration import FiltrationSpec
-from .gls import GradedSubspace, monomial_basis
+from .gls import GradedSubspace, monomial_basis, vec_to_poly
 from .poly import Poly, TruncationContext
 
 
 class LeadingAlgebra:
-    """Per-degree homogeneous bases L_n of the leading algebra, n <= D."""
+    """The graded pieces L_n = in(I_n) in G_n, read from the level ideals.
 
-    __slots__ = ("ctx", "components", "from_d_saturated")
+    A view, not a copy: component(n) slices the cached canonical echelon
+    basis of I_n, so only the degrees a caller reads are ever computed.
+    """
 
-    def __init__(self, ctx: TruncationContext, components, from_d_saturated: bool):
-        self.ctx = ctx
-        self.components = components  # list over n of lists of homogeneous Poly
-        self.from_d_saturated = from_d_saturated
+    __slots__ = ("F",)
+
+    def __init__(self, F: FiltrationSpec):
+        self.F = F
+
+    @property
+    def ctx(self) -> TruncationContext:
+        return self.F.ctx
+
+    def component(self, n: int):
+        """Homogeneous basis of L_n; L_0 = [1] since I_0 is the whole ring."""
+        return self.F.ideal_at_level(n).space.graded_slice(n)
 
     def dim(self, n: int) -> int:
-        return len(self.components[n])
-
-    def dims(self):
-        return [len(c) for c in self.components]
+        return len(self.component(n))
 
 
 def leading_algebra(F: FiltrationSpec) -> LeadingAlgebra:
     """L_n = initial forms of level-n elements of order n, for n <= D.
 
-    Expects a differentially saturated input for the structure theory to
-    apply; this is not enforced, only recorded on the result.
+    The structure theory applies to a differentially saturated input; this
+    is not enforced.
     """
-    ctx = F.ctx
-    comps = [[Poly.one(ctx.field, ctx.nvars)]]
-    for n in range(1, ctx.D + 1):
-        S = F.ideal_at_level(n)
-        comps.append(S.space.graded_slice(n))
-    return LeadingAlgebra(ctx, comps, F.d_saturated)
+    return LeadingAlgebra(F)
 
 
 def _pure_monomial_columns(ctx: TruncationContext, q: int):
@@ -77,14 +84,14 @@ def pure_part(L: LeadingAlgebra, e: int):
     ctx = L.ctx
     p = ctx.field.char
     if e == 0:
-        basis = list(L.components[1])
+        basis = L.component(1)
         return basis, list(basis)
     if p == 0:
         raise FieldError("characteristic 0 has pure parts only in degree 1")
     q = p ** e
     if q > ctx.D:
         raise ValueError("p^e exceeds the truncation degree")
-    space = GradedSubspace.from_polys(ctx, L.components[q])
+    space = GradedSubspace.from_polys(ctx, L.component(q))
     section = space.coordinate_section(_pure_monomial_columns(ctx, q))
     basis = [f.graded_component(q) for f in section.basis_polys()]
     F = ctx.field
@@ -152,20 +159,6 @@ class SigmaSeq:
                 "trimmed": self.trimmed()}
 
 
-def _linear_span(ctx, forms):
-    return GradedSubspace.from_polys(ctx, forms)
-
-
-def _pure_tower(F: FiltrationSpec, E_max: int):
-    """Pure bases and root subspaces U_e for e = 0 .. E_max."""
-    L = leading_algebra(F)
-    tower = []
-    for e in range(E_max + 1):
-        basis, roots = pure_part(L, e)
-        tower.append((basis, roots))
-    return L, tower
-
-
 def extract_lgs(F: FiltrationSpec, E_max: int | None = None):
     """Deterministic leading generator system of a saturated filtration.
 
@@ -181,27 +174,28 @@ def extract_lgs(F: FiltrationSpec, E_max: int | None = None):
         E_max = default_emax(ctx)
     if p > 0 and p ** E_max > ctx.D:
         raise ValueError("p^E_max exceeds the truncation degree")
-    L, tower = _pure_tower(F, E_max)
+    L = leading_algebra(F)
 
     chosen = []  # (root linear form, e)
     entries = []
     prev_dim = None
     stabilized = False
     sigma_vals = []
-    for e, (basis, roots) in enumerate(tower):
+    for e in range(E_max + 1):
+        basis, roots = pure_part(L, e)
         dim_e = len(basis)
         sigma_vals.append(ctx.nvars - dim_e)
-        u_span = _linear_span(ctx, roots)
+        u_span = GradedSubspace.from_polys(ctx, roots)
         # chain inclusion: earlier roots must still be roots at this level
         chain_ok = all(u_span.contains_poly(v) for v, _ in chosen)
-        span = _linear_span(ctx, [v for v, _ in chosen])
+        span = GradedSubspace.from_polys(ctx, [v for v, _ in chosen])
         grew = False
         for v in roots:
             if span.contains_poly(v):
                 continue
             grew = True
             chosen.append((v, e))
-            span = _linear_span(ctx, [w for w, _ in chosen])
+            span = GradedSubspace.from_polys(ctx, [w for w, _ in chosen])
             entries.append((_lift_initial_form(F, v, e), e))
         # stabilized means chain equality at the last two computed levels
         stabilized = (prev_dim is not None and chain_ok and not grew
@@ -220,21 +214,19 @@ def _lift_initial_form(F: FiltrationSpec, root: Poly, e: int) -> Poly:
     q = p ** e if p else 1
     w = root.pow(q) if q > 1 else root
     S = F.ideal_at_level(q).space
-    degs = S.pivot_degrees()
     mons, _, _ = monomial_basis(ctx.nvars, ctx.D)
     Fld = ctx.field
-    rows = S.basis_polys()
     h = Poly.zero(Fld, ctx.nvars)
     got = Poly.zero(Fld, ctx.nvars)
-    for i, dgt in enumerate(degs):
+    for i, dgt in enumerate(S.pivot_degrees()):
         if dgt != q:
             continue
-        pivot_mon = mons[S.pivots[i]]
-        c = w.terms.get(pivot_mon)
+        c = w.terms.get(mons[S.pivots[i]])
         if c is None or Fld.is_zero(c):
             continue
-        h = h + rows[i].scale(c)
-        got = got + rows[i].graded_component(q).scale(c)
+        row = vec_to_poly(S.rows[i], ctx)
+        h = h + row.scale(c)
+        got = got + row.graded_component(q).scale(c)
     if got != w:
         raise RuntimeError("initial form is not realized by the level ideal")
     return h

@@ -1,8 +1,10 @@
 """The analysis pipeline behind the command line.
 
 analyze() runs saturation, leading-algebra extraction and the invariants on
-one parsed spec and returns a plain dict; rendering (JSON or text) happens
-in the CLI.  Identical input and options give an identical dict, and the
+one parsed spec and returns a plain dict; the saturate, sigma and mu
+reports compute only the shared sections they slice, never the
+nonsingularity and checks sections.  Rendering (JSON or text) happens in
+the CLI.  Identical input and options give an identical dict, and the
 JSON dump sorts keys, so reports are byte-reproducible.
 """
 
@@ -23,7 +25,13 @@ def _gens_json(F: FiltrationSpec, names):
     return [{"poly": poly_str(f, names), "level": str(a)} for f, a in F.gens]
 
 
-def analyze(spec: SpecFile) -> dict:
+def _shared_sections(spec: SpecFile):
+    """The sections every report reads: input, saturation, leading, mu and
+    precision (whose flags need sigma and mu-tilde).
+
+    Returns (sections, Fb, H, mt, bounds); analyze() builds its remaining
+    sections from the last four.
+    """
     ctx = spec.context()
     names = spec.names
     opts = spec.options
@@ -35,7 +43,7 @@ def analyze(spec: SpecFile) -> dict:
 
     emax = opts.emax if opts.emax is not None else default_emax(ctx)
     emax = min(emax, default_emax(ctx))  # beyond log_p D nothing is visible
-    lgs, sig, L = extract_lgs(Fb, emax)
+    lgs, sig, _ = extract_lgs(Fb, emax)
     H = HSystem.from_lgs(ctx, lgs)
 
     mu_p = F0.mu_P()
@@ -51,26 +59,7 @@ def analyze(spec: SpecFile) -> dict:
     if not sig.stabilized:
         precision_flags.append("sigma not stabilized within the computed range")
 
-    if mt.is_infinite:
-        nonsing = nonsingularity_check(Fb, H, probe_saturated=True)
-        nonsing["applicable"] = True
-    else:
-        nonsing = {"applicable": False,
-                   "reason": "mu_H is finite; theorem hypotheses not met"}
-
-    checks = {}
-    if H.entries:
-        p = ctx.field.char
-        r = min((p ** H.entries[-1][1] if p else 1) + 1, ctx.D)
-        checks["supporting3"] = {"r": r, "ok": supporting3_check(H, r)}
-        try:
-            mu = coefficient_default_mu(Fb, H, bounds.grid)
-            checks["coefficient_level_1"] = {
-                "mu": str(mu), "ok": coefficient_decompose_check(Fb, H, 1, mu)}
-        except ValueError as exc:
-            checks["coefficient_level_1"] = {"skipped": str(exc)}
-
-    report = {
+    sections = {
         "input": {
             "field": ctx.field.spec_str(),
             "vars": list(names),
@@ -101,27 +90,51 @@ def analyze(spec: SpecFile) -> dict:
             "mu_tilde": mt.to_json(),
             "ord_h_table": ord_table,
         },
-        "nonsingularity": nonsing,
-        "checks": checks,
         "precision": {"D": ctx.D, "flags": precision_flags},
     }
+    return sections, Fb, H, mt, bounds
+
+
+def analyze(spec: SpecFile) -> dict:
+    report, Fb, H, mt, bounds = _shared_sections(spec)
+    ctx = Fb.ctx
+
+    if mt.is_infinite:
+        nonsing = nonsingularity_check(Fb, H, probe_saturated=True)
+        nonsing["applicable"] = True
+    else:
+        nonsing = {"applicable": False,
+                   "reason": "mu_H is finite; theorem hypotheses not met"}
+
+    checks = {}
+    if H.entries:
+        p = ctx.field.char
+        r = min((p ** H.entries[-1][1] if p else 1) + 1, ctx.D)
+        checks["supporting3"] = {"r": r, "ok": supporting3_check(H, r)}
+        try:
+            mu = coefficient_default_mu(Fb, H, bounds.grid)
+            checks["coefficient_level_1"] = {
+                "mu": str(mu), "ok": coefficient_decompose_check(Fb, H, 1, mu)}
+        except ValueError as exc:
+            checks["coefficient_level_1"] = {"skipped": str(exc)}
+
+    report["nonsingularity"] = nonsing
+    report["checks"] = checks
     return report
 
 
 def saturate_report(spec: SpecFile) -> dict:
-    full = analyze(spec)
-    return {"input": full["input"], "saturation": full["saturation"],
-            "precision": full["precision"]}
+    shared = _shared_sections(spec)[0]
+    return {k: shared[k] for k in ("input", "saturation", "precision")}
 
 
 def sigma_report(spec: SpecFile) -> dict:
-    full = analyze(spec)
-    return {"input": full["input"], "leading": full["leading"],
-            "precision": full["precision"]}
+    shared = _shared_sections(spec)[0]
+    return {k: shared[k] for k in ("input", "leading", "precision")}
 
 
 def mu_report(spec: SpecFile) -> dict:
-    full = analyze(spec)
-    return {"input": full["input"], "mu": full["mu"],
-            "leading": {"lgs": full["leading"]["lgs"]},
-            "precision": full["precision"]}
+    shared = _shared_sections(spec)[0]
+    return {"input": shared["input"], "mu": shared["mu"],
+            "leading": {"lgs": shared["leading"]["lgs"]},
+            "precision": shared["precision"]}

@@ -730,7 +730,7 @@ def suite_leading_pure(rng) -> SuiteResult:
 
             walk(0, Poly.one(F, ctx.nvars), 0)
             span = GradedSubspace.from_polys(ctx, prods)
-            target = GradedSubspace.from_polys(ctx, L.components[n])
+            target = GradedSubspace.from_polys(ctx, L.component(n))
             res.check(span.equals(target),
                       f"pure generation fails in degree {n} for {spec}")
         # purity via composite operators: all proper splittings kill entries

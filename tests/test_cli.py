@@ -77,17 +77,28 @@ def test_analyze_byte_identical(showcase_file):
     assert a == b
 
 
-def test_kernel_backends_agree(showcase_file, nonsing_file):
-    # the numba kernel and the numpy fallback must be indistinguishable
-    import os
-    env = dict(os.environ)
-    env["IDFILT_NO_NUMBA"] = "1"
-    for spec in (showcase_file, nonsing_file):
-        fast = run_cli("analyze", spec, "--json").stdout
-        slow = subprocess.run([sys.executable, "-m", "idfilt.cli", "analyze",
-                               spec, "--json"], capture_output=True, text=True,
-                              check=True, env=env).stdout
-        assert fast == slow
+def test_reports_compute_only_their_sections(monkeypatch):
+    # saturate, sigma and mu never reach the nonsingularity or checks stages
+    from idfilt import pipeline
+    from idfilt.specfile import parse_spec
+    specs = [parse_spec(text) for text in (SHOWCASE, NONSING)]
+    full = [pipeline.analyze(spec) for spec in specs]
+
+    def not_in_this_report(*args, **kwargs):
+        raise AssertionError("stage outside the report was run")
+
+    for name in ("nonsingularity_check", "supporting3_check",
+                 "coefficient_default_mu", "coefficient_decompose_check"):
+        monkeypatch.setattr(pipeline, name, not_in_this_report)
+    for spec, rep in zip(specs, full):
+        assert pipeline.saturate_report(spec) == {
+            k: rep[k] for k in ("input", "saturation", "precision")}
+        assert pipeline.sigma_report(spec) == {
+            k: rep[k] for k in ("input", "leading", "precision")}
+        assert pipeline.mu_report(spec) == {
+            "input": rep["input"], "mu": rep["mu"],
+            "leading": {"lgs": rep["leading"]["lgs"]},
+            "precision": rep["precision"]}
 
 
 def test_text_rendering_is_default(showcase_file):

@@ -1,8 +1,8 @@
 """The elimination engine against a plain exact Gauss-Jordan oracle.
 
 The oracle below uses nothing but the Field interface, so these tests check
-whichever kernel the engine runs (numba or numpy over GF(p), the generic
-kernel over GF(p^m) and QQ) without depending on which one is installed.
+both kernels the engine runs (numpy over GF(p), the generic kernel over
+GF(p^m) and QQ) the same way.
 """
 
 import pytest

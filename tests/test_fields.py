@@ -135,3 +135,21 @@ def test_prime_field_beyond_int64_kernels_rejected(p):
 
 def test_largest_word_size_primes_accepted():
     assert field_from_spec("GF(2147483647)") == PrimeField(2147483647)
+
+
+def test_extension_modulus_looked_up_before_primality(monkeypatch):
+    # trial division of a 16-digit p took seconds before this spec failed on
+    # the missing modulus; the lookup now comes first
+    import idfilt.fields as fields
+
+    def no_trial_division(n):
+        raise AssertionError("is_prime called")
+
+    monkeypatch.setattr(fields, "is_prime", no_trial_division)
+    with pytest.raises(FieldError, match="no built-in modulus"):
+        field_from_spec("GF(1000000000000037^2)")
+    monkeypatch.undo()
+    with pytest.raises(FieldError):
+        field_from_spec("GF(6^2)")
+    with pytest.raises(FieldError, match="not prime"):
+        ExtensionField(6, 2, modulus=(1, 1, 1))

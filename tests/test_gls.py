@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from idfilt._kernels import rref_mod_p
 from idfilt.gls import (GradedSubspace, ideal_image, membership,
                         monomial_basis, power_m, subspace_intersect,
                         subspace_sum)
@@ -114,3 +116,11 @@ def test_context_mismatch_errors(F2, F3):
     B = ideal_image([mk(F3, "x")], ctx_of(F3, 2, 3)).space
     with pytest.raises(ValueError):
         subspace_sum(A, B)
+
+
+def test_rref_mod_p_rows_own_their_memory():
+    # a view of the elimination buffer would keep all of it alive in caches
+    mat = np.array([[1, 1, 0], [1, 1, 0], [0, 1, 1]], dtype=np.int64)
+    rows, piv = rref_mod_p(mat, 2)
+    assert rows.base is None
+    assert rows.tolist() == [[1, 0, 1], [0, 1, 1]] and piv.tolist() == [0, 1]

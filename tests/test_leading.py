@@ -5,8 +5,8 @@ import pytest
 from idfilt.fields import FieldError
 from idfilt.filtration import FiltrationSpec
 from idfilt.gls import GradedSubspace
-from idfilt.leading import (LeadingAlgebra, default_emax, extract_lgs,
-                            leading_algebra, pure_part, sigma)
+from idfilt.leading import (default_emax, extract_lgs, leading_algebra,
+                            pure_part, sigma)
 from idfilt.poly import Poly, poly_str
 from idfilt.saturation import d_saturate
 from tests.conftest import ctx_of, mk
@@ -21,13 +21,13 @@ def showcase(F, D=10):
 def test_leading_algebra_char0(QQ):
     # d_x contributes (2x, 1); d_y lands in degree 2 and dies in G_1
     L = leading_algebra(showcase(QQ))
-    assert [poly_str(f) for f in L.components[1]] == ["x"]
+    assert [poly_str(f) for f in L.component(1)] == ["x"]
 
 
 def test_leading_algebra_char2(F2):
     L = leading_algebra(showcase(F2))
-    assert L.components[1] == []
-    assert [poly_str(f) for f in L.components[2]] == ["x^2"]
+    assert L.component(1) == []
+    assert [poly_str(f) for f in L.component(2)] == ["x^2"]
 
 
 def test_leading_algebra_empty(F2):
@@ -44,9 +44,9 @@ def test_leading_algebra_is_multiplicative(F2):
         for b in range(1, 5):
             if a + b > ctx.D:
                 continue
-            target = GradedSubspace.from_polys(ctx, L.components[a + b])
-            for f in L.components[a]:
-                for g in L.components[b]:
+            target = GradedSubspace.from_polys(ctx, L.component(a + b))
+            for f in L.component(a):
+                for g in L.component(b):
                     assert target.contains_poly(f.mul_trunc(g, ctx.D))
 
 
@@ -58,11 +58,14 @@ def test_pure_part_examples(F2, QQ):
     basis1, roots1 = pure_part(L, 1)
     assert [poly_str(f) for f in basis1] == ["x^2"]
     assert [poly_str(f) for f in roots1] == ["x"]
-    comps = [[Poly.one(F2, 2)], [], [mk(F2, "x^2"), mk(F2, "x*y")]] + [[]] * 8
-    pb, roots = pure_part(LeadingAlgebra(ctx, comps, True), 1)
+    gens = [(mk(F2, "x^2"), 2), (mk(F2, "x*y"), 2)]
+    L2 = leading_algebra(FiltrationSpec(ctx, gens))
+    assert {poly_str(f) for f in L2.component(2)} == {"x^2", "x*y"}
+    pb, roots = pure_part(L2, 1)
     assert [poly_str(f) for f in pb] == ["x^2"]
-    comps2 = [[Poly.one(F2, 2)], [], [mk(F2, "x^2 + y^2")]] + [[]] * 8
-    pb2, roots2 = pure_part(LeadingAlgebra(ctx, comps2, True), 1)
+    L3 = leading_algebra(FiltrationSpec(ctx, [(mk(F2, "x^2 + y^2"), 2)]))
+    assert [poly_str(f) for f in L3.component(2)] == ["x^2 + y^2"]
+    pb2, roots2 = pure_part(L3, 1)
     assert [poly_str(f) for f in roots2] == ["x + y"]
     # characteristic zero only has the degree-one pure part
     Lq = leading_algebra(showcase(QQ))
@@ -70,6 +73,19 @@ def test_pure_part_examples(F2, QQ):
     assert [poly_str(f) for f in b] == ["x"]
     with pytest.raises(FieldError):
         pure_part(Lq, 1)
+
+
+def test_leading_algebra_builds_no_level_ideal(F2):
+    F = showcase(F2)
+    leading_algebra(F)
+    assert F._level_cache == {}
+
+
+def test_extract_lgs_builds_only_pure_levels(F2):
+    # D = 10 over GF(2): the pure parts live in degrees 1, 2, 4 and 8
+    F = showcase(F2)
+    extract_lgs(F)
+    assert set(F._level_cache) == {1, 2, 4, 8}
 
 
 def test_extract_lgs_showcase_char2(F2):
