@@ -7,19 +7,23 @@ x^2+y^3 do not split into graded pieces, so the whole-space echelon form is
 the primary representation and per-degree slices are derived views:
 
 * rows whose pivot monomial has degree >= n span exactly S `intersect` m^n,
-  because an echelon row is zero left of its pivot;
+  because an echelon row is zero left of its pivot (meet_power_m(n) is that
+  row slice: a subset of canonical RREF rows is canonical for its span);
 * the degree-n components of the rows with pivot degree exactly n form a
   basis of the image of S `intersect` m^n in G_n = m^n/m^(n+1).
 
 Pivot choice is always the leftmost (graded-lex smallest) column, so every
 basis is the canonical RREF of its row space and outputs are deterministic.
+The multipliers X^A with low <= |A| <= k are one column range, so
+multiples(g, ctx, low) places each term c X^e of g across it by one scatter
+through the cached shift map of X^e; ideal_image stacks those blocks.
 
 Every basis, over every field, is one 2-D numpy array: int64 entries in
 [0, p) over GF(p), and an object array holding the field's own scalars
 (coefficient tuples over GF(p^m), Fractions over QQ) otherwise.  Row
-selection, stacking and comparison are therefore one code path; only the
-private helpers _matrix, _rref, _reduce and _is_zero know the format and
-pick the kernel (rref_mod_p / reduce_mod_p or rref_generic /
+selection, stacking, scattering and comparison are therefore one code path;
+only the private helpers _matrix, _rref, _reduce and _is_zero know the
+format and pick the kernel (rref_mod_p / reduce_mod_p or rref_generic /
 reduce_generic).  rref() offers the same engine for small matrices outside
 the truncated ring.
 
@@ -29,6 +33,7 @@ d <= 6, D <= 16.  Finished subspaces are immutable and shareable.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import chain
 
@@ -51,6 +56,18 @@ def monomial_basis(nvars: int, D: int):
     index = {m: i for i, m in enumerate(mons)}
     degree_of = tuple(sum(m) for m in mons)
     return tuple(mons), index, degree_of
+
+
+@lru_cache(maxsize=None)
+def _shift_map(nvars: int, D: int, e):
+    """Column of X^(A+e) for each column A with |A| + |e| <= D; those A are
+    a prefix of the columns.  Read-only, since every caller shares it."""
+    mons, index, degree_of = monomial_basis(nvars, D)
+    k = bisect_right(degree_of, D - sum(e))
+    out = np.fromiter((index[tuple(x + y for x, y in zip(A, e))] for A in mons[:k]),
+                      dtype=np.intp, count=k)
+    out.flags.writeable = False
+    return out
 
 
 # The four helpers below are the only code that knows how a field's matrices
@@ -192,6 +209,13 @@ class GradedSubspace:
         _, _, degree_of = monomial_basis(self.ctx.nvars, self.ctx.D)
         return [degree_of[c] for c in self.pivots]
 
+    def meet_power_m(self, n: int) -> "GradedSubspace":
+        """S `intersect` m^n: the rows whose pivot degree is >= n (a suffix,
+        since pivots ascend), already in canonical form."""
+        _, _, degree_of = monomial_basis(self.ctx.nvars, self.ctx.D)
+        k = bisect_left(self.pivots, n, key=degree_of.__getitem__)
+        return GradedSubspace(self.ctx, self.rows[k:], self.pivots[k:])
+
     def graded_slice(self, n: int):
         """Basis of the image of S `intersect` m^n in G_n, as homogeneous polys."""
         out = []
@@ -279,24 +303,27 @@ class TruncatedIdeal:
     def ctx(self):
         return self.space.ctx
 
-    def contains(self, f: Poly) -> bool:
-        return self.space.contains_poly(f)
+
+def multiples(g: Poly, ctx: TruncationContext, low: int = 0):
+    """The rows X^A g for low <= |A| <= D - ord(g), as one matrix in the
+    field's format (no rows when g vanishes at truncation D)."""
+    _, _, degree_of = monomial_basis(ctx.nvars, ctx.D)
+    start = bisect_left(degree_of, low)
+    stop = max(start, bisect_right(degree_of, ctx.D - g.order()))
+    out = _matrix(ctx.field, (stop - start, len(degree_of)))
+    rows = np.arange(stop - start)
+    for e, c in g.terms.items():
+        cols = _shift_map(ctx.nvars, ctx.D, e)[start:stop]
+        # a one-cell array, so a GF(p^m) tuple is not spread over the cells
+        out[rows[:len(cols)], cols] = _matrix(ctx.field, 1, [c])
+    return out
 
 
 def ideal_image(gens, ctx: TruncationContext) -> TruncatedIdeal:
     """Span of {X^A g : |A| + ord(g) <= D}, the full truncated ideal image."""
-    mons, _, _ = monomial_basis(ctx.nvars, ctx.D)
-    vecs = []
-    for g in gens:
-        gt = g.truncate(ctx.D)
-        if gt.is_zero():
-            continue
-        budget = ctx.D - int(gt.order())
-        for A in mons:
-            if sum(A) > budget:
-                continue
-            vecs.append(poly_to_vec(gt.shift(A, ctx.D), ctx))
-    return TruncatedIdeal(gens, GradedSubspace.from_vectors(ctx, vecs))
+    blocks = [multiples(g, ctx) for g in gens]
+    rows = np.vstack(blocks) if blocks else []
+    return TruncatedIdeal(gens, GradedSubspace.from_vectors(ctx, rows))
 
 
 def membership(f: Poly, S) -> bool:

@@ -13,6 +13,10 @@ ord_H(f) is the largest n with f in m^n + (H).  With graded-lex echelon
 bases this is one reduction: eliminating f against the canonical basis of
 the ideal image leaves a residue whose order IS ord_H(f), because echelon
 rows live in the span of monomials at or above their pivot degree.
+
+The ideals generated by the H-monomials of weight >= a are the level ideals
+of one filtration, HSystem.filtration(), generated by the pairs
+(h_l, p^e_l); (H) is its level-1 ideal.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from fractions import Fraction
 
 from .diffop import DiffOp
 from .filtration import FiltrationSpec
-from .gls import GradedSubspace, ideal_image, power_m, rref, subspace_intersect
+import numpy as np
+
+from .gls import GradedSubspace, monomial_basis, multiples, poly_to_vec, rref
 from .leading import LGS
 from .poly import Poly, TruncationContext
 from .values import SatValue, sat_min
@@ -52,7 +58,7 @@ class HSystem:
     """
 
     __slots__ = ("ctx", "entries", "roots", "normalized", "spanning_checked",
-                 "_ideal_space")
+                 "_filtration")
 
     def __init__(self, ctx: TruncationContext, entries, spanning_checked=False):
         entries = sorted(entries, key=lambda he: he[1])
@@ -78,7 +84,7 @@ class HSystem:
         self.roots = tuple(roots)
         self.spanning_checked = spanning_checked
         self.normalized = self._normalize()
-        self._ideal_space = None
+        self._filtration = None
 
     @staticmethod
     def from_lgs(ctx: TruncationContext, lgs: LGS) -> "HSystem":
@@ -120,10 +126,6 @@ class HSystem:
 
     # --- level bookkeeping ---------------------------------------------------
 
-    @property
-    def exponents(self):
-        return [e for _, e in self.entries]
-
     def level(self, l: int) -> int:
         p = self.ctx.field.char
         return p ** self.entries[l][1] if p else 1
@@ -152,13 +154,16 @@ class HSystem:
         p = self.ctx.field.char
         return p ** (self.e_next - self.e_min)
 
-    def ideal_space(self) -> GradedSubspace:
-        if self._ideal_space is None:
-            self._ideal_space = ideal_image([h for h, _ in self.entries], self.ctx).space
-        return self._ideal_space
+    def filtration(self) -> FiltrationSpec:
+        """The filtration generated by the pairs (h_l, p^e_l)."""
+        if self._filtration is None:
+            self._filtration = FiltrationSpec(
+                self.ctx, [(h, self.level(l)) for l, (h, _) in enumerate(self.entries)])
+        return self._filtration
 
-    def polys(self):
-        return [h for h, _ in self.entries]
+    def ideal_space(self) -> GradedSubspace:
+        """The image of the ideal (H)."""
+        return self.filtration().ideal_at_level(1).space
 
     def to_json(self):
         from .poly import poly_str
@@ -405,10 +410,8 @@ def _h_power(H: HSystem, B, D: int) -> Poly:
 
 
 def _b_range(H: HSystem, a: Fraction):
-    """All exponent vectors B with |[B]| < a + p^(e_N)."""
-    p = H.ctx.field.char
-    levels = [p ** e if p else 1 for _, e in H.entries]
-    top = a + (levels[-1] if levels else 1)
+    """All exponent vectors B with |[B]| < a."""
+    levels = [H.level(l) for l in range(len(H.entries))]
     out = []
 
     def walk(i, cur, weight):
@@ -416,7 +419,7 @@ def _b_range(H: HSystem, a: Fraction):
             out.append(tuple(cur))
             return
         b = 0
-        while weight + b * levels[i] < top:
+        while weight + b * levels[i] < a:
             walk(i + 1, cur + [b], weight + b * levels[i])
             b += 1
 
@@ -426,7 +429,8 @@ def _b_range(H: HSystem, a: Fraction):
 
 def coefficient_decompose_check(F: FiltrationSpec, H: HSystem, a, mu) -> bool:
     """Does I_a equal the sum over B of I'_(a-|[B]|) H^B, where
-    I'_t = I_t intersect m^(ceil(mu t)); requires mu below mu_H."""
+    I'_t = I_t intersect m^(ceil(mu t)); requires mu below mu_H.  The terms
+    with |[B]| >= a (I'_t = R) span H.filtration()'s level-a ideal together."""
     ctx = F.ctx
     a = Fraction(a)
     mu = Fraction(mu)
@@ -435,24 +439,17 @@ def coefficient_decompose_check(F: FiltrationSpec, H: HSystem, a, mu) -> bool:
         raise ValueError("hypothesis violated: mu must be below mu_H")
     lhs = F.ideal_at_level(a).space
     if a <= 0:
-        return lhs.dim == power_m(0, ctx).dim
-    rhs = GradedSubspace.zero(ctx)
-    p = ctx.field.char
-    levels = [p ** e if p else 1 for _, e in H.entries]
+        return lhs.dim == len(monomial_basis(ctx.nvars, ctx.D)[0])
+    rows = list(H.filtration().ideal_at_level(a).space.rows)
     for B in _b_range(H, a):
-        t = a - sum(b * q for b, q in zip(B, levels))
         hb = _h_power(H, B, ctx.D)
         if hb.is_zero():
             continue
-        if t <= 0:
-            term = ideal_image([hb], ctx).space
-        else:
-            cut = _ceil_frac(mu * t)
-            it = subspace_intersect(F.ideal_at_level(t).space, power_m(cut, ctx))
-            rows = [f.mul_trunc(hb, ctx.D) for f in it.basis_polys()]
-            term = GradedSubspace.from_polys(ctx, [f for f in rows if not f.is_zero()])
-        rhs = rhs.sum_with(term)
-    return rhs.equals(lhs)
+        t = a - sum(b * H.level(l) for l, b in enumerate(B))
+        it = F.ideal_at_level(t).space.meet_power_m(_ceil_frac(mu * t))
+        prods = (f.mul_trunc(hb, ctx.D) for f in it.basis_polys())
+        rows += [poly_to_vec(g, ctx) for g in prods if not g.is_zero()]
+    return GradedSubspace.from_vectors(ctx, rows).equals(lhs)
 
 
 def supporting3_check(H: HSystem, r: int) -> bool:
@@ -460,20 +457,10 @@ def supporting3_check(H: HSystem, r: int) -> bool:
     ctx = H.ctx
     if r < 0 or r > ctx.D:
         raise ValueError("r out of range")
-    lhs = subspace_intersect(H.ideal_space(), power_m(r, ctx))
-    from .gls import monomial_basis, poly_to_vec
-    mons, _, _ = monomial_basis(ctx.nvars, ctx.D)
-    vecs = []
-    for l, (h, _) in enumerate(H.entries):
-        low = max(0, r - H.level(l))
-        ht = h.truncate(ctx.D)
-        budget = ctx.D - int(ht.order())
-        for A in mons:
-            if low <= sum(A) <= budget:
-                g = ht.shift(A, ctx.D)
-                if not g.is_zero():
-                    vecs.append(poly_to_vec(g, ctx))
-    rhs = GradedSubspace.from_vectors(ctx, vecs)
+    lhs = H.ideal_space().meet_power_m(r)
+    blocks = [multiples(h, ctx, max(0, r - H.level(l)))
+              for l, (h, _) in enumerate(H.entries)]
+    rhs = GradedSubspace.from_vectors(ctx, np.vstack(blocks) if blocks else [])
     return lhs.equals(rhs)
 
 
@@ -495,17 +482,10 @@ def nonsingularity_check(F: FiltrationSpec, H: HSystem,
     mh = mu_tilde(F, H)
     if not mh.is_infinite:
         raise ValueError("theorem hypotheses not met: mu_H is finite")
-    p = ctx.field.char
-    levels = [p ** e if p else 1 for _, e in H.entries]
-
+    HF = H.filtration()
     gen_fail = []
     for a in F.grid_levels():
-        keep = [_h_power(H, B, ctx.D)
-                for B in _b_range(H, a)
-                if sum(b * q for b, q in zip(B, levels)) >= a]
-        rhs = ideal_image([g for g in keep if not g.is_zero()], ctx)
-        lhs = F.ideal_at_level(a)
-        if not rhs.space.contains_subspace(lhs.space):
+        if not HF.ideal_at_level(a).space.contains_subspace(F.ideal_at_level(a).space):
             gen_fail.append(a)
     bad = [(h, e) for h, e in H.entries if e != 0]
     diagnosis = None

@@ -29,12 +29,6 @@ def mi_add(a, b):
 def mi_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
-def mi_le(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-def mi_total(a) -> int:
-    return sum(a)
-
 
 def grlex_key(exps):
     """Sort key: total degree ascending, then lexicographically descending."""
@@ -61,9 +55,6 @@ class TruncationContext:
             raise ValueError("truncation degree must be >= 1")
         if not all(0 <= i < self.nvars for i in self.boundary):
             raise ValueError("boundary indices out of range")
-
-    def with_boundary(self, boundary):
-        return TruncationContext(self.field, self.nvars, self.D, frozenset(boundary))
 
 
 class Poly:

@@ -40,10 +40,6 @@ class SatValue:
     def is_exact(self) -> bool:
         return self.kind == "exact"
 
-    def lower_bound(self) -> Fraction | None:
-        """Known lower bound; None means unbounded (infinity)."""
-        return None if self.kind == "infinity" else self.q
-
     def over(self, a) -> "SatValue":
         """Divide by a positive rational level."""
         a = Fraction(a)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -99,6 +100,37 @@ def test_reports_compute_only_their_sections(monkeypatch):
             "input": rep["input"], "mu": rep["mu"],
             "leading": {"lgs": rep["leading"]["lgs"]},
             "precision": rep["precision"]}
+
+
+# SHA-256 of the bytes `idfilt analyze --json` prints.  Reports are meant to
+# be byte-reproducible, so a digest moves only with a deliberate report change.
+PINNED_REPORTS = {
+    "gf2_showcase": (SHOWCASE,
+                     "49ab9335d37d8594d87101508d96b8431e1627a4257173da3a4c2d3790fd2535"),
+    "qq_showcase": (SHOWCASE.replace("GF(2)", "QQ"),
+                    "4c44797099095909d58d5e493ad6ce722b4d0d0f2858c4c43527f76782dd2f66"),
+    # infinite mu_H: the nonsingularity and checks sections run
+    "gf9_infmu": ("field: GF(3^2)\nvars: x, y\ntruncation: 8\n"
+                  "gen: x + y^2 @ 1\ngen: y^3 @ 3\n",
+                  "960267f51a58bf288a586ce3dfa0392938f9871fc95062194c0f54c52ae66e1b"),
+    "gf2_boundary": ("field: GF(2)\nvars: x, y, z\ntruncation: 10\nboundary: z\n"
+                     "gen: x + y^3 @ 1\ngen: z^2 @ 2\n",
+                     "562fa9e52e10daba4ddd34bcc510d59a1b4196edde0050f982add4eaa06b9b3c"),
+    "gf3_infmu": ("field: GF(3)\nvars: x, y, z\ntruncation: 6\n"
+                  "gen: x + z^4 @ 1\ngen: y^3 @ 3\n",
+                  "9a78c8311b89680a4cb0dbf07580f4eb327f82eb6736ff27a77c09f374266486"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_analyze_report_bytes_pinned(name, tmp_path, capsys):
+    from idfilt.cli import main
+    text, digest = PINNED_REPORTS[name]
+    p = tmp_path / "spec.txt"
+    p.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(p), "--json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_text_rendering_is_default(showcase_file):

@@ -149,6 +149,32 @@ def test_sum_and_intersect(case):
 
 
 @ORACLE
+@given(two_sets())
+def test_meet_power_m(case):
+    ctx, gens, _ = case
+    S = GradedSubspace.from_polys(ctx, gens)
+    for n in range(ctx.D + 2):
+        want = gls.subspace_intersect(S, gls.power_m(n, ctx))
+        assert engine_basis(S.meet_power_m(n)) == engine_basis(want)
+
+
+@ORACLE
+@given(two_sets())
+def test_multiples(case):
+    ctx, gens, _ = case
+    F, D = ctx.field, ctx.D
+    mons = monomial_basis(ctx.nvars, D)[0]
+    # a zero polynomial, and one with terms beyond the truncation degree
+    extra = [Poly.zero(F, ctx.nvars)] + [g.shift((D,) * ctx.nvars) + g for g in gens[:1]]
+    for g in gens + extra:
+        for low in range(D + 2):
+            want = [as_vec(g.shift(A, D), ctx) for A in mons
+                    if low <= sum(A) <= D - g.order()]
+            got = gls.multiples(g, ctx, low)
+            assert got.shape == (len(want), len(mons)) and got.tolist() == want
+
+
+@ORACLE
 @given(two_sets(), st.data())
 def test_coordinate_section(case, data):
     ctx, gens, _ = case

@@ -1,8 +1,13 @@
+import math
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from idfilt.fields import ExtensionField, PrimeField
 from idfilt.filtration import FiltrationSpec
+from idfilt.gls import ideal_image
 from idfilt.invariants import (HSystem, build_Du,
                                coefficient_decompose_check,
                                coefficient_default_mu, mu_tilde,
@@ -12,6 +17,7 @@ from idfilt.invariants import (HSystem, build_Du,
 from idfilt.leading import extract_lgs
 from idfilt.poly import Poly, poly_str
 from idfilt.saturation import b_saturate_probe, d_saturate
+from idfilt.verify import rand_hsystem
 from tests.conftest import ctx_of, mk
 
 
@@ -243,3 +249,64 @@ def test_ord_h_superadditive(rng, F2):
             continue
         if of.q + og.q <= ctx.D:
             assert ofg.is_infinite or ofg.q >= of.q + og.q
+
+
+def test_empty_system_checks(F2, QQ):
+    for F in (F2, QQ):
+        ctx = ctx_of(F, 2, 6)
+        H = HSystem(ctx, [])
+        assert H.ideal_space().dim == 0
+        assert all(supporting3_check(H, r) for r in range(ctx.D + 1))
+        Fx = FiltrationSpec(ctx, [(mk(F, "x + y^2"), 1), (mk(F, "y^3"), Fraction(3, 2))])
+        mu = coefficient_default_mu(Fx, H)
+        assert mu == Fraction(63, 64)
+        for a in (Fraction(-1), 0, Fraction(1, 2), 1, 3):
+            assert coefficient_decompose_check(Fx, H, a, mu)
+        # only a filtration that vanishes at truncation has mu_H infinite here
+        for gens in ([], [(mk(F, "x^7"), 1)]):
+            rep = nonsingularity_check(FiltrationSpec(ctx, gens), H)
+            assert rep["passed"] and rep["generated_by_h"]["failing_levels"] == []
+            assert rep["lgs_linear_forms_independent"] is None
+
+
+def h_monomial_ideal(H, a):
+    """The ideal of the H-monomials of weight >= a, written as ideal_image of
+    every H^B with a <= |[B]| < a + p^(e_N), p^(e_N) the largest level."""
+    ctx = H.ctx
+    levels = [H.level(l) for l in range(len(H.entries))]
+    top = a + (max(levels) if levels else 1)
+    gens = []
+    for B in product(*[range(math.ceil(top / q)) for q in levels]):
+        if a <= sum(b * q for b, q in zip(B, levels)) < top:
+            hb = Poly.one(ctx.field, ctx.nvars)
+            for (h, _), b in zip(H.entries, B):
+                hb = hb.mul_trunc(h.pow_trunc(b, ctx.D), ctx.D)
+            gens.append(hb)
+    return ideal_image(gens, ctx).space
+
+
+@pytest.mark.parametrize("F", [PrimeField(2), PrimeField(3), ExtensionField(3, 2)],
+                         ids=str)
+def test_h_filtration_levels_match_h_monomials(F):
+    rng = random.Random(f"h-filtration:{F}")
+    for _ in range(4):
+        H = rand_hsystem(rng, F, rng.choice([2, 3]), rng.choice([5, 6]))
+        for k in range(1, 2 * H.ctx.D + 1):
+            a = Fraction(k, 2)
+            assert H.filtration().ideal_at_level(a).space.equals(h_monomial_ideal(H, a))
+
+
+def test_generated_by_h_failing_levels(F2, QQ):
+    # I_3 = (x^2) is not inside (x^3), the H-monomials of weight >= 3
+    for F in (F2, QQ):
+        ctx = ctx_of(F, 2, 6)
+        H = HSystem(ctx, [(mk(F, "x"), 0)])
+        Fx = FiltrationSpec(ctx, [(mk(F, "x"), 1), (mk(F, "x^2"), 3)])
+        rep = nonsingularity_check(Fx, H)
+        want = []
+        for a in Fx.grid_levels():
+            ref = h_monomial_ideal(H, a)
+            assert H.filtration().ideal_at_level(a).space.equals(ref)
+            if not ref.contains_subspace(Fx.ideal_at_level(a).space):
+                want.append(str(a))
+        assert rep["generated_by_h"]["failing_levels"] == want == ["3", "4", "5", "6"]
