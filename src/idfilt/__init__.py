@@ -14,7 +14,7 @@ from .poly import (Poly, TruncationContext, graded_component, mul_trunc,
 from .values import SatValue
 from .diffop import (DiffOp, compose, hasse_apply, ideal_order,
                      is_pe_power_generated, log_apply, product_rule_check)
-from .gls import (GradedSubspace, TruncatedIdeal, ideal_image, membership,
+from .gls import (GradedSubspace, ideal_image, membership,
                   power_m, subspace_intersect, subspace_sum)
 from .filtration import FiltrationSpec, ideal_at_level, in_support, \
     is_integral_witness, mu_P

@@ -1,8 +1,9 @@
 """Generic exact row reduction for the non-prime coefficient domains.
 
 Handles Q (fractions) and F_{p^m} (coefficient tuples) through the Field
-interface.  Dense lists of scalars; matrices at this tier stay small, the
-heavy prime-field work lives in _kernels.
+interface, on dense lists of scalars; the prime-field work lives in
+_kernels.  A row update negates its multiplier once, so each cell costs one
+field mul and one add.
 """
 
 from __future__ import annotations
@@ -30,15 +31,13 @@ def rref_generic(rows, field):
             rows[r] = [field.mul(inv, x) for x in rows[r]]
         for i in range(len(rows)):
             if i != r and not field.is_zero(rows[i][c]):
-                f = rows[i][c]
-                row_r = rows[r]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], row_r)]
+                nf = field.neg(rows[i][c])
+                rows[i] = [field.add(x, field.mul(nf, y)) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    out = [row for row in rows[:r]]
-    return out, pivots
+    return rows[:r], pivots
 
 
 def reduce_generic(rows, pivots, v, field):
@@ -47,6 +46,6 @@ def reduce_generic(rows, pivots, v, field):
     for k, c in enumerate(pivots):
         f = out[c]
         if not field.is_zero(f):
-            row = rows[k]
-            out = [field.sub(x, field.mul(f, y)) for x, y in zip(out, row)]
+            nf = field.neg(f)
+            out = [field.add(x, field.mul(nf, y)) for x, y in zip(out, rows[k])]
     return out

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .pipeline import analyze, mu_report, saturate_report, sigma_report
-from .specfile import MAX_TRUNC, SpecError, parse_spec
+from .specfile import SpecError, apply_overrides, parse_spec
 
 
 def _load_spec(args):
@@ -24,18 +24,11 @@ def _load_spec(args):
         raise SystemExit(f"cannot read spec file: {exc}")
     try:
         spec = parse_spec(text)
+        apply_overrides(spec, {"truncation": args.trunc, "emax": args.emax,
+                               "radical_n_max": args.radical_n_max,
+                               "radical_grid": args.radical_grid})
     except SpecError as exc:
         raise SystemExit(f"spec error: {exc}")
-    if args.trunc is not None:
-        spec.D = args.trunc
-        if not 1 <= spec.D <= MAX_TRUNC:
-            raise SystemExit(f"spec error: --trunc outside supported envelope 1..{MAX_TRUNC}")
-    if args.emax is not None:
-        spec.options.emax = args.emax
-    if args.radical_n_max is not None:
-        spec.options.radical_n_max = args.radical_n_max
-    if args.radical_grid is not None:
-        spec.options.radical_grid = args.radical_grid
     if args.candidates is not None:
         try:
             with open(args.candidates, "r", encoding="utf-8") as fh:

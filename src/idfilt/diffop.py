@@ -17,7 +17,7 @@ import itertools
 import math
 
 from .fields import FieldError, binom_multi
-from .poly import Poly, TruncationContext, mi_add, mi_sub
+from .poly import Poly, TruncationContext, grlex_key, mi_add, mi_sub
 from .values import SatValue
 from . import gls
 
@@ -65,16 +65,6 @@ def sub_multiindices(J):
     return itertools.product(*[range(j + 1) for j in J])
 
 
-def multiindices_upto(nvars: int, n: int):
-    """All J in Z_{>=0}^nvars with |J| <= n, graded-lex sorted."""
-    out = [()]
-    for _ in range(nvars):
-        out = [m + (e,) for m in out for e in range(n + 1)]
-    out = [m for m in out if sum(m) <= n]
-    out.sort(key=lambda m: (sum(m), tuple(-e for e in m)))
-    return out
-
-
 class DiffOp:
     """Finite sum of coefficient * d_{X^J}, optionally logarithmic."""
 
@@ -91,7 +81,7 @@ class DiffOp:
             clean[J] = coeff if prev is None else prev + coeff
         self.summands = tuple(sorted(
             ((c, J) for J, c in clean.items() if not c.is_zero()),
-            key=lambda s: (sum(s[1]), tuple(-e for e in s[1]))))
+            key=lambda s: grlex_key(s[1])))
 
     @staticmethod
     def hasse(ctx, J) -> "DiffOp":
@@ -211,7 +201,7 @@ def diff_ideal_gens(gens, n: int, ctx: TruncationContext):
     """Generators of Diff^n(I): all divided partials of degree <= n."""
     out = []
     for g in gens:
-        for J in multiindices_upto(ctx.nvars, n):
+        for J in gls.monomial_basis(ctx.nvars, n)[0]:
             h = hasse_apply(g, J)
             if not h.is_zero():
                 out.append(h)
@@ -233,7 +223,7 @@ def is_pe_power_generated(gens, e: int, ctx: TruncationContext) -> bool:
     n = ctx.field.char ** e - 1
     base = gls.ideal_image(gens, ctx)
     bigger = gls.ideal_image(diff_ideal_gens(gens, n, ctx), ctx)
-    return base.space.equals(bigger.space)
+    return base.equals(bigger)
 
 
 def pe_power_precision_ok(gens, e: int, ctx: TruncationContext) -> bool:

@@ -308,8 +308,6 @@ class ExtensionField(Field):
         return (n % self.p,) + (0,) * (self.m - 1)
 
     def generator(self):
-        if self.m == 1:
-            return self.one()
         return (0, 1) + (0,) * (self.m - 2)
 
     def add(self, a, b):

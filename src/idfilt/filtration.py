@@ -4,7 +4,9 @@ A filtration assigns to every rational level a an ideal I_a, decreasing in
 a, with I_a * I_b inside I_(a+b) and I_0 = R.  Here one is presented by a
 finite list of (polynomial, positive rational level) generators; the ideal
 at level a is generated by the products of generators whose levels sum to
-at least a.  All ideals are taken as images in R/m^(D+1).
+at least a, and at a <= 0 by the empty product 1, so I_0 = R comes out of
+the same construction as every other level.  All ideals are taken as images
+in R/m^(D+1), each the canonical GradedSubspace it spans.
 
 Normalization drops zero polynomials and non-positive levels (both carry no
 information), and detects generators that are units at the origin, which
@@ -16,19 +18,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .gls import TruncatedIdeal, ideal_image, membership
+from .gls import GradedSubspace, ideal_image, membership
 from .poly import Poly, TruncationContext
 from .values import SatValue, sat_min
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 class FiltrationSpec:
     """Finite generator presentation of an idealistic filtration."""
 
-    __slots__ = ("ctx", "gens", "d_saturated", "_level_cache", "_full_cache")
+    __slots__ = ("ctx", "gens", "d_saturated", "_level_cache")
 
     def __init__(self, ctx: TruncationContext, gens, d_saturated: bool = False):
         clean = []
@@ -49,7 +47,6 @@ class FiltrationSpec:
         self.gens = tuple(clean)
         self.d_saturated = d_saturated
         self._level_cache = {}
-        self._full_cache = None
 
     # presentation ---------------------------------------------------------
 
@@ -60,10 +57,7 @@ class FiltrationSpec:
 
     @property
     def grid_denominator(self) -> int:
-        d = 1
-        for _, a in self.gens:
-            d = _lcm(d, a.denominator)
-        return d
+        return math.lcm(*(a.denominator for _, a in self.gens))
 
     def grid_levels(self, up_to=None):
         """Positive multiples of 1/denominator up to the truncation degree."""
@@ -86,12 +80,6 @@ class FiltrationSpec:
         return f"FiltrationSpec[{inner}]"
 
     # level ideals -----------------------------------------------------------
-
-    def _full_ring(self) -> TruncatedIdeal:
-        if self._full_cache is None:
-            one = Poly.one(self.ctx.field, self.ctx.nvars)
-            self._full_cache = ideal_image([one], self.ctx)
-        return self._full_cache
 
     def _minimal_products(self, a: Fraction):
         """Minimal generator products reaching level a, pruned by order.
@@ -129,14 +117,12 @@ class FiltrationSpec:
         walk(0, Poly.one(self.ctx.field, self.ctx.nvars), Fraction(0), 0)
         return out
 
-    def ideal_at_level(self, a) -> TruncatedIdeal:
-        """Truncated image of I_a; the full ring for a <= 0."""
-        a = Fraction(a)
-        if a <= 0 or self.trivial_full:
-            return self._full_ring()
-        # the level ideal is a step function jumping only on the rational grid
+    def ideal_at_level(self, a) -> GradedSubspace:
+        """Truncated image of I_a; the full ring I_0 = R for a <= 0."""
+        # the level ideal is a step function jumping only on the rational
+        # grid, and a unit generator makes every level the level-0 ideal
         delta = self.grid_denominator
-        key = -(-a.numerator * delta // a.denominator)  # ceil(a * delta)
+        key = 0 if self.trivial_full else max(0, math.ceil(Fraction(a) * delta))
         hit = self._level_cache.get(key)
         if hit is None:
             prods = self._minimal_products(Fraction(key, delta))
@@ -171,7 +157,7 @@ class FiltrationSpec:
         return not self.mu_P().lt_certain(1)
 
 
-def ideal_at_level(F: FiltrationSpec, a) -> TruncatedIdeal:
+def ideal_at_level(F: FiltrationSpec, a) -> GradedSubspace:
     return F.ideal_at_level(a)
 
 

@@ -14,9 +14,13 @@ the primary representation and per-degree slices are derived views:
 
 Pivot choice is always the leftmost (graded-lex smallest) column, so every
 basis is the canonical RREF of its row space and outputs are deterministic.
-The multipliers X^A with low <= |A| <= k are one column range, so
-multiples(g, ctx, low) places each term c X^e of g across it by one scatter
-through the cached shift map of X^e; ideal_image stacks those blocks.
+An ideal of the truncated ring needs no type of its own: its image is the
+subspace it spans, closed under multiplication by the variables, and the
+canonical basis describes it completely.  The multipliers X^A with
+low <= |A| <= k are one column range, so multiples(g, ctx, low) places each
+term c X^e of g across it by one scatter through the cached shift map of
+X^e; ideal_image stacks those blocks for every generator and returns the
+GradedSubspace they span.
 
 Every basis, over every field, is one 2-D numpy array: int64 entries in
 [0, p) over GF(p), and an object array holding the field's own scalars
@@ -287,23 +291,6 @@ class GradedSubspace:
         return "\n".join(poly_str(f) for f in self.basis_polys())
 
 
-class TruncatedIdeal:
-    """Image of an ideal in R/m^(D+1): a subspace plus its generator list.
-
-    Closed under multiplication by each variable up to degree D.
-    """
-
-    __slots__ = ("gens", "space")
-
-    def __init__(self, gens, space: GradedSubspace):
-        self.gens = tuple(gens)
-        self.space = space
-
-    @property
-    def ctx(self):
-        return self.space.ctx
-
-
 def multiples(g: Poly, ctx: TruncationContext, low: int = 0):
     """The rows X^A g for low <= |A| <= D - ord(g), as one matrix in the
     field's format (no rows when g vanishes at truncation D)."""
@@ -319,29 +306,23 @@ def multiples(g: Poly, ctx: TruncationContext, low: int = 0):
     return out
 
 
-def ideal_image(gens, ctx: TruncationContext) -> TruncatedIdeal:
-    """Span of {X^A g : |A| + ord(g) <= D}, the full truncated ideal image."""
+def ideal_image(gens, ctx: TruncationContext) -> GradedSubspace:
+    """Span of {X^A g : |A| + ord(g) <= D}: the image of the ideal (gens)."""
     blocks = [multiples(g, ctx) for g in gens]
-    rows = np.vstack(blocks) if blocks else []
-    return TruncatedIdeal(gens, GradedSubspace.from_vectors(ctx, rows))
+    return GradedSubspace.from_vectors(ctx, np.vstack(blocks) if blocks else [])
 
 
-def membership(f: Poly, S) -> bool:
-    """Does f lie in the subspace (or truncated ideal) S."""
-    space = S.space if isinstance(S, TruncatedIdeal) else S
-    return space.contains_poly(f)
+def membership(f: Poly, S: GradedSubspace) -> bool:
+    """Does f lie in the subspace S."""
+    return S.contains_poly(f)
 
 
-def subspace_sum(S1, S2) -> GradedSubspace:
-    a = S1.space if isinstance(S1, TruncatedIdeal) else S1
-    b = S2.space if isinstance(S2, TruncatedIdeal) else S2
-    return a.sum_with(b)
+def subspace_sum(S1: GradedSubspace, S2: GradedSubspace) -> GradedSubspace:
+    return S1.sum_with(S2)
 
 
-def subspace_intersect(S1, S2) -> GradedSubspace:
-    a = S1.space if isinstance(S1, TruncatedIdeal) else S1
-    b = S2.space if isinstance(S2, TruncatedIdeal) else S2
-    return a.intersect(b)
+def subspace_intersect(S1: GradedSubspace, S2: GradedSubspace) -> GradedSubspace:
+    return S1.intersect(S2)
 
 
 def power_m(n: int, ctx: TruncationContext) -> GradedSubspace:

@@ -21,20 +21,18 @@ of one filtration, HSystem.filtration(), generated by the pairs
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from fractions import Fraction
+
+import numpy as np
 
 from .diffop import DiffOp
 from .filtration import FiltrationSpec
-import numpy as np
-
 from .gls import GradedSubspace, monomial_basis, multiples, poly_to_vec, rref
 from .leading import LGS
 from .poly import Poly, TruncationContext
 from .values import SatValue, sat_min
-
-
-def _ceil_frac(q: Fraction) -> int:
-    return -(-q.numerator // q.denominator)
 
 
 def _inverse(field, M):
@@ -163,7 +161,7 @@ class HSystem:
 
     def ideal_space(self) -> GradedSubspace:
         """The image of the ideal (H)."""
-        return self.filtration().ideal_at_level(1).space
+        return self.filtration().ideal_at_level(1)
 
     def to_json(self):
         from .poly import poly_str
@@ -204,61 +202,29 @@ def mu_tilde(F: FiltrationSpec, H: HSystem) -> SatValue:
 # the operators D_u and F_v (in normalized coordinates)
 
 
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _inverse_matrix_trunc(H: HSystem, M):
-    """Inverse of a matrix of truncated ring elements with unit constant
-    term, by the terminating geometric series on the maximal-ideal part."""
+    """Inverse of a matrix M of truncated ring elements whose constant part
+    is the identity (as du_matrix's is), by the terminating series
+    sum over k of (I - M)^k."""
     ctx = H.ctx
-    F = ctx.field
     L = len(M)
-    M0 = [[M[i][j].constant_term() for j in range(L)] for i in range(L)]
-    C0 = _inverse(F, M0)
-    if C0 is None:
-        raise ValueError("coords do not normalize the system")
-    # A = C0*M = I + N with N in m
-    def matmul(A, B):
-        out = []
-        for i in range(L):
-            row = []
-            for j in range(L):
-                acc = Poly.zero(F, ctx.nvars)
-                for k in range(L):
-                    a = A[i][k]
-                    b = B[k][j]
-                    if isinstance(a, Poly) and isinstance(b, Poly):
-                        acc = acc + a.mul_trunc(b, ctx.D)
-                    elif isinstance(a, Poly):
-                        acc = acc + a.scale(b)
-                    else:
-                        acc = acc + b.scale(a)
-                row.append(acc)
-            out.append(row)
-        return out
+    one = Poly.one(ctx.field, ctx.nvars)
+    zero = Poly.zero(ctx.field, ctx.nvars)
 
-    A = matmul(C0, M)
-    N = [[A[i][j] - (Poly.one(F, ctx.nvars) if i == j else Poly.zero(F, ctx.nvars))
-          for j in range(L)] for i in range(L)]
-    # sum over k of (-N)^k, stops once the power vanishes in the quotient
-    series = [[Poly.one(F, ctx.nvars) if i == j else Poly.zero(F, ctx.nvars)
-               for j in range(L)] for i in range(L)]
-    term = [[Poly.one(F, ctx.nvars) if i == j else Poly.zero(F, ctx.nvars)
-             for j in range(L)] for i in range(L)]
-    negN = [[-N[i][j] for j in range(L)] for i in range(L)]
+    def matmul(A, B):
+        return [[sum((A[i][k].mul_trunc(B[k][j], ctx.D) for k in range(L)), zero)
+                 for j in range(L)] for i in range(L)]
+
+    ident = [[one if i == j else zero for j in range(L)] for i in range(L)]
+    step = [[ident[i][j] - M[i][j] for j in range(L)] for i in range(L)]
+    # I - M lies in m, so its powers vanish in the quotient by k = D + 1
+    series = term = ident
     for _ in range(ctx.D):
-        term = matmul(term, negN)
-        if all(term[i][j].is_zero() for i in range(L) for j in range(L)):
+        term = matmul(term, step)
+        if all(t.is_zero() for row in term for t in row):
             break
-        series = [[series[i][j] + term[i][j] for j in range(L)] for i in range(L)]
-    return matmul(series, C0)
+        series = [[s + t for s, t in zip(rs, rt)] for rs, rt in zip(series, term)]
+    return series
 
 
 def du_matrix(H: HSystem):
@@ -297,7 +263,8 @@ def build_Du(H: HSystem, u: int) -> DiffOp:
     C = _inverse_matrix_trunc(H, du_matrix(H))
     last = C[L - 1]
     summands = []
-    for T in _compositions(u, L):
+    mons, _, degree_of = monomial_basis(L, u)
+    for T in mons[bisect_left(degree_of, u):]:  # the exponents of degree u
         coeff = Poly.one(ctx.field, ctx.nvars)
         for j, t in enumerate(T):
             if t:
@@ -437,16 +404,16 @@ def coefficient_decompose_check(F: FiltrationSpec, H: HSystem, a, mu) -> bool:
     mh = mu_tilde(F, H)
     if not mh.is_infinite and mh.q <= mu:
         raise ValueError("hypothesis violated: mu must be below mu_H")
-    lhs = F.ideal_at_level(a).space
+    lhs = F.ideal_at_level(a)
     if a <= 0:
         return lhs.dim == len(monomial_basis(ctx.nvars, ctx.D)[0])
-    rows = list(H.filtration().ideal_at_level(a).space.rows)
+    rows = list(H.filtration().ideal_at_level(a).rows)
     for B in _b_range(H, a):
         hb = _h_power(H, B, ctx.D)
         if hb.is_zero():
             continue
         t = a - sum(b * H.level(l) for l, b in enumerate(B))
-        it = F.ideal_at_level(t).space.meet_power_m(_ceil_frac(mu * t))
+        it = F.ideal_at_level(t).meet_power_m(math.ceil(mu * t))
         prods = (f.mul_trunc(hb, ctx.D) for f in it.basis_polys())
         rows += [poly_to_vec(g, ctx) for g in prods if not g.is_zero()]
     return GradedSubspace.from_vectors(ctx, rows).equals(lhs)
@@ -485,7 +452,7 @@ def nonsingularity_check(F: FiltrationSpec, H: HSystem,
     HF = H.filtration()
     gen_fail = []
     for a in F.grid_levels():
-        if not HF.ideal_at_level(a).space.contains_subspace(F.ideal_at_level(a).space):
+        if not HF.ideal_at_level(a).contains_subspace(F.ideal_at_level(a)):
             gen_fail.append(a)
     bad = [(h, e) for h, e in H.entries if e != 0]
     diagnosis = None

@@ -49,7 +49,7 @@ class LeadingAlgebra:
 
     def component(self, n: int):
         """Homogeneous basis of L_n; L_0 = [1] since I_0 is the whole ring."""
-        return self.F.ideal_at_level(n).space.graded_slice(n)
+        return self.F.ideal_at_level(n).graded_slice(n)
 
     def dim(self, n: int) -> int:
         return len(self.component(n))
@@ -213,7 +213,7 @@ def _lift_initial_form(F: FiltrationSpec, root: Poly, e: int) -> Poly:
     p = ctx.field.char
     q = p ** e if p else 1
     w = root.pow(q) if q > 1 else root
-    S = F.ideal_at_level(q).space
+    S = F.ideal_at_level(q)
     mons, _, _ = monomial_basis(ctx.nvars, ctx.D)
     Fld = ctx.field
     h = Poly.zero(Fld, ctx.nvars)

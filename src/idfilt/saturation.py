@@ -17,13 +17,14 @@ feeds candidate levels to the probe.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffop import hasse_apply, log_apply, multiindices_upto
+from .diffop import hasse_apply, log_apply
 from .fields import FieldError, RationalField
 from .filtration import FiltrationSpec
-from .gls import membership, rref
+from .gls import membership, monomial_basis, rref
 from .poly import Poly
 
 
@@ -69,8 +70,8 @@ class ProbeVerdict:
 def _derivative_gens(F: FiltrationSpec, apply_op):
     out = []
     for f, a in F.gens:
-        top = -(-a.numerator // a.denominator) - 1  # ceil(a) - 1, so |J| < a
-        for J in multiindices_upto(F.ctx.nvars, max(top, 0)):
+        top = math.ceil(a) - 1  # so |J| < a
+        for J in monomial_basis(F.ctx.nvars, max(top, 0))[0]:
             level = a - sum(J)
             if level <= 0:
                 continue
@@ -105,8 +106,7 @@ def d_saturate_log(F: FiltrationSpec) -> FiltrationSpec:
 
 def _grid_point_below(a: Fraction, grid: int) -> Fraction:
     """Largest multiple of 1/grid strictly below a."""
-    k = -(-a.numerator * grid // a.denominator)  # ceil(a * grid)
-    return Fraction(k - 1, grid)
+    return Fraction(math.ceil(a * grid) - 1, grid)
 
 
 def _probe(F: FiltrationSpec, f: Poly, a, bounds, exponents) -> ProbeVerdict:
@@ -245,15 +245,6 @@ def monomial_closure_member(I, m: int, u) -> bool:
 # composite saturation probe
 
 
-def _rational_lcm(values):
-    from math import gcd
-    num, den = 1, 1
-    for a in values:
-        num = num * a.numerator // gcd(num, a.numerator)
-        den = gcd(den, a.denominator)
-    return Fraction(num, den)
-
-
 def _root_candidates(F: FiltrationSpec):
     p = F.ctx.field.char
     out = []
@@ -277,7 +268,8 @@ def _theta_candidates(F: FiltrationSpec, roots):
         return []
     if any(len(f.terms) != 1 for f, _ in F.gens):
         return []
-    L = _rational_lcm([a for _, a in F.gens])
+    # the numerators' lcm is an integer multiple of every level
+    L = math.lcm(*(a.numerator for _, a in F.gens))
     gen_exps = []
     for f, a in F.gens:
         k = L / a

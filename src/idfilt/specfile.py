@@ -25,6 +25,8 @@ from .poly import Poly, PolyParseError, TruncationContext, parse_poly, poly_str
 
 MAX_VARS = 6
 MAX_TRUNC = 16
+# least admissible value of each integer option directive
+_OPTION_MIN = {"radical_n_max": 1, "radical_grid": 1, "emax": 0}
 
 
 class SpecError(ValueError):
@@ -63,13 +65,6 @@ class SpecFile:
     def context(self) -> TruncationContext:
         idx = frozenset(self.names.index(b) for b in self.boundary)
         return TruncationContext(self.field, len(self.names), self.D, idx)
-
-    def __eq__(self, other):
-        return (isinstance(other, SpecFile)
-                and self.field == other.field and self.names == other.names
-                and self.D == other.D and self.boundary == other.boundary
-                and self.gens == other.gens
-                and self.options == other.options)
 
 
 def _parse_level(text: str):
@@ -120,12 +115,8 @@ def parse_spec(text: str) -> SpecFile:
             ptext, ltext = val.rsplit("@", 1)
             (gen_lines if key == "gen" else candidate_lines).append(
                 (lineno, ptext.strip(), ltext.strip()))
-        elif key == "radical_n_max":
-            options.radical_n_max = _expect_pos_int(val, lineno, key)
-        elif key == "radical_grid":
-            options.radical_grid = _expect_pos_int(val, lineno, key)
-        elif key == "emax":
-            options.emax = _expect_pos_int(val, lineno, key, allow_zero=True)
+        elif key in _OPTION_MIN:
+            setattr(options, key, _option(key, val, lineno))
         else:
             raise SpecError("E_PARSE", lineno, f"unknown directive {key!r}")
 
@@ -135,10 +126,7 @@ def parse_spec(text: str) -> SpecFile:
         raise SpecError("E_VAR", 0, "missing 'vars:' directive")
     if D is None:
         raise SpecError("E_TRUNC", 0, "missing 'truncation:' directive")
-    if not 1 <= D <= MAX_TRUNC:
-        raise SpecError("E_TRUNC", 0,
-                        f"truncation degree {D} outside supported envelope "
-                        f"1..{MAX_TRUNC}")
+    _check_trunc(D)
     for b in boundary:
         if b not in names:
             raise SpecError("E_VAR", 0, f"boundary variable {b!r} not declared")
@@ -161,14 +149,35 @@ def parse_spec(text: str) -> SpecFile:
     return SpecFile(field, names, D, boundary, gens, options)
 
 
-def _expect_pos_int(val, lineno, key, allow_zero=False):
+def _check_trunc(D):
+    if not 1 <= D <= MAX_TRUNC:
+        raise SpecError("E_TRUNC", 0,
+                        f"truncation degree {D} outside supported envelope "
+                        f"1..{MAX_TRUNC}")
+    return D
+
+
+def _option(key, val, lineno):
     try:
         n = int(val)
     except ValueError:
         raise SpecError("E_OPTION", lineno, f"bad integer for {key}: {val!r}")
-    if n < 0 or (n == 0 and not allow_zero):
-        raise SpecError("E_OPTION", lineno, f"{key} must be positive")
+    if n < _OPTION_MIN[key]:
+        raise SpecError("E_OPTION", lineno, f"{key} must be at least {_OPTION_MIN[key]}")
     return n
+
+
+def apply_overrides(spec: SpecFile, overrides) -> None:
+    """Set the directives in the mapping overrides (truncation or an option
+    name; None leaves the value) on spec, by the rules the parser applies to
+    the file's own directives.  Errors report line 0."""
+    for key, val in overrides.items():
+        if val is None:
+            continue
+        if key == "truncation":
+            spec.D = _check_trunc(val)
+        else:
+            setattr(spec.options, key, _option(key, val, 0))
 
 
 def print_spec(spec: SpecFile) -> str:

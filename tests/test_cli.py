@@ -202,3 +202,18 @@ def test_spec_error_exit(tmp_path):
     out = run_cli("analyze", str(p), check=False)
     assert out.returncode != 0
     assert "E_FIELD" in out.stderr
+
+
+@pytest.mark.parametrize("flag, value, directive", [
+    ("--trunc", "0", "truncation"),
+    ("--emax", "-1", "emax"),
+    ("--radical-n-max", "-1", "radical_n_max"),
+    ("--radical-grid", "0", "radical_grid"),
+])
+def test_bad_override_is_a_spec_error(showcase_file, flag, value, directive):
+    # the command-line overrides obey the rules of the spec directives
+    from idfilt.cli import main
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", showcase_file, flag, value])
+    assert str(exc.value.code).startswith("spec error: ")
+    assert directive in str(exc.value.code)

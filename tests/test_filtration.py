@@ -4,7 +4,7 @@ import pytest
 
 from idfilt.filtration import FiltrationSpec, ideal_at_level, in_support, \
     is_integral_witness, mu_P
-from idfilt.gls import membership
+from idfilt.gls import GradedSubspace, ideal_image, membership, power_m
 from idfilt.poly import Poly
 from tests.conftest import ctx_of, mk
 
@@ -21,9 +21,41 @@ def test_ideal_at_level_single_generator(QQ):
 def test_ideal_at_level_empty_generators(QQ):
     ctx = ctx_of(QQ, 2, 6)
     E = FiltrationSpec(ctx, [])
-    assert ideal_at_level(E, 7).space.dim == 0
+    assert ideal_at_level(E, 7).dim == 0
     full = ideal_at_level(E, -1)
     assert membership(Poly.one(QQ, 2), full)
+
+
+@pytest.mark.parametrize("name", ["F2", "F9", "QQ"])
+def test_ideals_are_graded_subspaces(name, request):
+    F = request.getfixturevalue(name)
+    ctx = ctx_of(F, 2, 6)
+    gens = [mk(F, "x^2 + y^3"), mk(F, "x*y")]
+    assert type(ideal_image(gens, ctx)) is GradedSubspace
+    spec = FiltrationSpec(ctx, [(gens[0], 2), (gens[1], Fraction(3, 2))])
+    for a in (-1, 0, 1, Fraction(5, 2), 7):
+        assert type(spec.ideal_at_level(a)) is GradedSubspace
+
+
+@pytest.mark.parametrize("name", ["F2", "F9", "QQ"])
+def test_level_zero_is_the_whole_ring(name, request):
+    F = request.getfixturevalue(name)
+    ctx = ctx_of(F, 2, 6)
+    spec = FiltrationSpec(ctx, [(mk(F, "x^2 + y^3"), 2), (mk(F, "y"), Fraction(1, 2))])
+    full = spec.ideal_at_level(0)
+    assert full.equals(power_m(0, ctx))
+    for a in (-1, Fraction(-5, 2)):
+        assert spec.ideal_at_level(a) is full
+    assert not spec.ideal_at_level(Fraction(1, 2)).equals(full)
+
+
+def test_unit_generator_gives_the_whole_ring_at_every_level(F3):
+    ctx = ctx_of(F3, 2, 6)
+    spec = FiltrationSpec(ctx, [(mk(F3, "1 + x"), 3), (mk(F3, "y^2"), 1)])
+    full = spec.ideal_at_level(0)
+    assert full.equals(power_m(0, ctx))
+    for a in spec.grid_levels() + [Fraction(1, 3), 100]:
+        assert spec.ideal_at_level(a) is full
 
 
 def test_ideal_at_level_products(QQ):
@@ -83,11 +115,11 @@ def test_level_ideals_monotone_and_multiplicative(rng, F3):
         for k in range(1, 6):
             a = Fraction(k, delta)
             big, small = ideal_at_level(F, a), ideal_at_level(F, a + Fraction(1, delta))
-            assert big.space.contains_subspace(small.space)
+            assert big.contains_subspace(small)
         a = Fraction(1, delta)
         Ia, I2a = ideal_at_level(F, a), ideal_at_level(F, 2 * a)
-        for f in Ia.space.basis_polys()[:4]:
-            for g in Ia.space.basis_polys()[:4]:
+        for f in Ia.basis_polys()[:4]:
+            for g in Ia.basis_polys()[:4]:
                 assert membership(f.mul_trunc(g, ctx.D), I2a)
 
 
@@ -95,10 +127,10 @@ def test_level_ideal_grid_step(QQ):
     ctx = ctx_of(QQ, 2, 6)
     F = FiltrationSpec(ctx, [(mk(QQ, "x"), Fraction(3, 2))])
     # the ideal only changes when ceil(2a) does
-    assert ideal_at_level(F, Fraction(5, 4)).space.equals(
-        ideal_at_level(F, Fraction(6, 4)).space)
-    assert not ideal_at_level(F, Fraction(6, 4)).space.equals(
-        ideal_at_level(F, Fraction(7, 4)).space)
+    assert ideal_at_level(F, Fraction(5, 4)).equals(
+        ideal_at_level(F, Fraction(6, 4)))
+    assert not ideal_at_level(F, Fraction(6, 4)).equals(
+        ideal_at_level(F, Fraction(7, 4)))
 
 
 def test_mu_P_brute_force_cross_check(rng, F2):
@@ -109,7 +141,7 @@ def test_mu_P_brute_force_cross_check(rng, F2):
     worst = None
     for a in (1, 2, 3):
         I = ideal_at_level(F, a)
-        for f in I.space.basis_polys():
+        for f in I.basis_polys():
             if f.is_zero():
                 continue
             r = Fraction(int(f.order()), a)
@@ -144,8 +176,8 @@ def test_level_ideal_vs_unpruned_enumeration(rng, F3):
                         prod = prod.mul_trunc(g, ctx.D)
                 if not prod.is_zero():
                     prods.append(prod)
-            assert spec.ideal_at_level(a).space.equals(
-                ideal_image(prods, ctx).space)
+            assert spec.ideal_at_level(a).equals(
+                ideal_image(prods, ctx))
 
 
 def test_integral_witness_examples(QQ):

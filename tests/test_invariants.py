@@ -8,8 +8,8 @@ import pytest
 from idfilt.fields import ExtensionField, PrimeField
 from idfilt.filtration import FiltrationSpec
 from idfilt.gls import ideal_image
-from idfilt.invariants import (HSystem, build_Du,
-                               coefficient_decompose_check,
+from idfilt.invariants import (HSystem, _inverse_matrix_trunc, build_Du,
+                               coefficient_decompose_check, du_matrix,
                                coefficient_default_mu, mu_tilde,
                                nonsingularity_check, ord_H,
                                supporting1_check, supporting2_check,
@@ -110,7 +110,7 @@ def test_mu_tilde_brute_force(F2):
     best = None
     for k in range(1, ctx.D + 1):
         a = Fraction(k)
-        residues = [W.reduce_poly(f) for f in F.ideal_at_level(a).space.basis_polys()]
+        residues = [W.reduce_poly(f) for f in F.ideal_at_level(a).basis_polys()]
         orders = [int(r.order()) for r in residues if not r.is_zero()]
         if orders:
             val = Fraction(min(orders)) / a
@@ -282,7 +282,7 @@ def h_monomial_ideal(H, a):
             for (h, _), b in zip(H.entries, B):
                 hb = hb.mul_trunc(h.pow_trunc(b, ctx.D), ctx.D)
             gens.append(hb)
-    return ideal_image(gens, ctx).space
+    return ideal_image(gens, ctx)
 
 
 @pytest.mark.parametrize("F", [PrimeField(2), PrimeField(3), ExtensionField(3, 2)],
@@ -293,7 +293,7 @@ def test_h_filtration_levels_match_h_monomials(F):
         H = rand_hsystem(rng, F, rng.choice([2, 3]), rng.choice([5, 6]))
         for k in range(1, 2 * H.ctx.D + 1):
             a = Fraction(k, 2)
-            assert H.filtration().ideal_at_level(a).space.equals(h_monomial_ideal(H, a))
+            assert H.filtration().ideal_at_level(a).equals(h_monomial_ideal(H, a))
 
 
 def test_generated_by_h_failing_levels(F2, QQ):
@@ -306,7 +306,27 @@ def test_generated_by_h_failing_levels(F2, QQ):
         want = []
         for a in Fx.grid_levels():
             ref = h_monomial_ideal(H, a)
-            assert H.filtration().ideal_at_level(a).space.equals(ref)
-            if not ref.contains_subspace(Fx.ideal_at_level(a).space):
+            assert H.filtration().ideal_at_level(a).equals(ref)
+            if not ref.contains_subspace(Fx.ideal_at_level(a)):
                 want.append(str(a))
         assert rep["generated_by_h"]["failing_levels"] == want == ["3", "4", "5", "6"]
+
+
+@pytest.mark.parametrize("F", [PrimeField(2), PrimeField(3), PrimeField(5),
+                               ExtensionField(2, 2), ExtensionField(3, 2)], ids=str)
+def test_du_matrix_is_identity_plus_maximal_ideal(F):
+    # normalized coordinates make h_l = z_l^(p^e) + (higher order), so the
+    # series inverse needs no constant-part inverse
+    rng = random.Random(5)
+    for _ in range(25):
+        H = rand_hsystem(rng, F, 3, 8)
+        M = du_matrix(H)
+        L = len(M)
+        ident = [[F.one() if i == j else F.zero() for j in range(L)] for i in range(L)]
+        assert [[m.constant_term() for m in row] for row in M] == ident
+        C = _inverse_matrix_trunc(H, M)
+        for i in range(L):
+            for j in range(L):
+                prod = sum((C[i][k].mul_trunc(M[k][j], H.ctx.D) for k in range(L)),
+                           Poly.zero(F, 3))
+                assert prod == (Poly.one(F, 3) if i == j else Poly.zero(F, 3))

@@ -45,9 +45,9 @@ def test_d_saturate_idempotent_and_enlarging(rng, F3):
     ds, dds = d_saturate(F), d_saturate(d_saturate(F))
     for k in range(1, 2 * ctx.D + 1):
         a = Fraction(k, 2)
-        assert ds.ideal_at_level(a).space.equals(dds.ideal_at_level(a).space)
-        assert ds.ideal_at_level(a).space.contains_subspace(
-            F.ideal_at_level(a).space)
+        assert ds.ideal_at_level(a).equals(dds.ideal_at_level(a))
+        assert ds.ideal_at_level(a).contains_subspace(
+            F.ideal_at_level(a))
 
 
 def test_radical_probe_examples(QQ):
