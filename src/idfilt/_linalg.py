@@ -1,9 +1,9 @@
-"""Generic exact row reduction for the non-prime coefficient domains.
+"""Generic exact row reduction over QQ only.
 
-Handles Q (fractions) and F_{p^m} (coefficient tuples) through the Field
-interface, on dense lists of scalars; the prime-field work lives in
-_kernels.  A row update negates its multiplier once, so each cell costs one
-field mul and one add.
+Handles Fractions through the Field interface, on dense lists of scalars;
+every finite field, GF(p) and GF(p^m) alike, is eliminated in _kernels.
+A row update negates its multiplier once, so each cell costs one field mul
+and one add.
 """
 
 from __future__ import annotations

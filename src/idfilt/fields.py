@@ -1,16 +1,19 @@
 """Exact coefficient arithmetic over F_p, F_{p^m} and Q, plus binomial services.
 
 Scalars are plain Python values and every operation goes through a Field
-object: ints in [0, p) for a prime field, tuples of ints of length m for an
-extension field, and fractions.Fraction for the rationals.  All values are
-immutable and every operation is a pure function, so fields and scalars can
-be shared freely across threads.
+object: ints in [0, p) for a prime field, int codes in [0, p^m) for an
+extension field (its coefficient digits in base p, lowest first; add, neg,
+mul and inv are table lookups), and fractions.Fraction for the rationals.
+All values are immutable and every operation is a pure function, so fields
+and scalars can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 class FieldError(ValueError):
@@ -109,6 +112,9 @@ class Field:
     kind: str
     p: int
     m: int
+    # the kernel's (ADD, MUL, NEG, INV) lookup arrays over GF(p^m); GF(p)
+    # eliminates with % p arithmetic instead
+    tables = None
 
     def zero(self):
         raise NotImplementedError
@@ -229,51 +235,37 @@ class PrimeField(Field):
         return hash(("prime", self.p))
 
 
-def _polydiv_mod(num, den, p):
-    """Remainder of num by monic den over F_p; coefficient lists, low first."""
-    num = list(num)
-    dd = len(den) - 1
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] % p
-        if c:
-            for j in range(dd + 1):
-                num[i - dd + j] = (num[i - dd + j] - c * den[j]) % p
-    return [c % p for c in num[:dd]]
+# An ExtensionField keeps q x q add and mul tables, so a supplied modulus is
+# refused above this q before any table exists: at the bound each table is a
+# 512 KB int64 array plus a list of cached small ints.
+MAX_EXTENSION_Q = 256
 
 
-def _is_irreducible(modulus, p) -> bool:
-    """Exhaustive root / trial-factor check; intended for small degrees."""
-    m = len(modulus) - 1
-    if m < 1 or modulus[-1] % p != 1:
-        return False
-    if m == 1:
-        return True
-    for r in range(p):
-        # evaluate at r
-        acc = 0
-        for c in reversed(modulus):
-            acc = (acc * r + c) % p
-        if acc == 0:
-            return False
-    if m <= 3:
-        return True
-    # trial division by all monic factors of degree 2 .. m//2
-    for deg in range(2, m // 2 + 1):
-        for idx in range(p ** deg):
-            den = []
-            t = idx
-            for _ in range(deg):
-                den.append(t % p)
-                t //= p
-            den.append(1)
-            if any(_polydiv_mod(modulus, den, p)):
-                continue
-            return False
-    return True
+def _tables(digits, p, modulus):
+    """ADD, MUL (q x q), NEG and INV (length q) of GF(p^m) as int64 arrays
+    indexed by codes, from the (q, m) digits of every code.  INV[0] is 0 and
+    means nothing."""
+    place = p ** np.arange(digits.shape[1])
+    # times[k] holds the digits of a * g^k for every code a; multiplying by g
+    # moves each digit up one place and folds g^m back by the monic modulus
+    times = [digits]
+    for _ in range(digits.shape[1] - 1):
+        t = times[-1]
+        times.append((np.pad(t[:, :-1], ((0, 0), (1, 0))) - t[:, -1:] * modulus[:-1]) % p)
+    add = (digits[:, None] + digits) % p @ place
+    mul = np.einsum("bk,kam->abm", digits, np.stack(times)) % p @ place
+    return add, mul, -digits % p @ place, (mul == 1).argmax(axis=1)
 
 
 class ExtensionField(Field):
-    """F_{p^m} with elements stored as length-m coefficient tuples (low first)."""
+    """F_{p^m} with each element an int code in [0, q): sum d_k g^k, with
+    digits d_k in [0, p) and g a root of the modulus, has the code
+    sum d_k p^k.
+
+    add, neg, mul and inv are lookups in tables built once per field: the
+    scalar methods read Python lists, the elimination kernel the numpy
+    arrays in `tables`.  sort_key and to_str read the digits.
+    """
 
     kind = "extension-field"
 
@@ -281,60 +273,63 @@ class ExtensionField(Field):
         if m < 2:
             raise FieldError("extension degree must be >= 2")
         if modulus is None:
-            # every built-in key has a prime p, so only a supplied modulus
-            # needs the (slow for huge p) trial division below
+            # every built-in key has a prime p and a small q, so only a
+            # supplied modulus needs the size test and the primality test
             modulus = BUILTIN_MODULI.get((p, m))
             if modulus is None:
                 raise FieldError(f"no built-in modulus for GF({p}^{m}); supply one")
-        elif not is_prime(p):
-            raise FieldError(f"{p} is not prime")
+        else:
+            # q >= 2^m, so a large m fails before p^m is computed
+            if m > MAX_EXTENSION_Q.bit_length() or p ** m > MAX_EXTENSION_Q:
+                raise FieldError(f"GF({p}^{m}) is too large: the field tables "
+                                 f"need q = p^m <= {MAX_EXTENSION_Q}")
+            if not is_prime(p):
+                raise FieldError(f"{p} is not prime")
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != m + 1:
             raise FieldError("modulus degree must equal the extension degree")
-        if not _is_irreducible(modulus, p):
-            raise FieldError("modulus is reducible over the prime field")
         self.p = p
         self.m = m
         self.modulus = modulus
         self.q = p ** m
+        digits = np.arange(self.q)[:, None] // p ** np.arange(m) % p
+        self.tables = _tables(digits, p, np.array(modulus))
+        # F_p[g]/(modulus) is a field, i.e. the monic modulus is irreducible,
+        # exactly when 1 is a multiple of every nonzero element
+        mul = self.tables[1]
+        if modulus[-1] != 1 or not (mul[1:] == 1).any(axis=1).all():
+            raise FieldError("modulus is reducible over the prime field")
+        self._add, self._mul, self._neg, self._inv = (t.tolist() for t in self.tables)
+        self._digits = [tuple(d) for d in digits.tolist()]
 
     def zero(self):
-        return (0,) * self.m
+        return 0
 
     def one(self):
-        return (1,) + (0,) * (self.m - 1)
+        return 1
 
     def from_int(self, n):
-        return (n % self.p,) + (0,) * (self.m - 1)
+        return n % self.p
 
     def generator(self):
-        return (0, 1) + (0,) * (self.m - 2)
+        return self.p
 
     def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return self._add[a][b]
 
     def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
+        return self._neg[a]
 
     def mul(self, a, b):
-        p, m = self.p, self.m
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] = (prod[i + j] + x * y) % p
-        return tuple(_polydiv_mod(prod, self.modulus, p))
+        return self._mul[a][b]
 
     def inv(self, a):
-        if self.is_zero(a):
+        if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return self.pow(a, self.q - 2)
+        return self._inv[a]
 
     def is_zero(self, a):
-        return all(c == 0 for c in a)
+        return a == 0
 
     def frobenius_root(self, a, e):
         if e == 0:
@@ -343,19 +338,13 @@ class ExtensionField(Field):
         return self.pow(a, self.p ** k)
 
     def elements(self):
-        out = []
-        for idx in range(self.q):
-            vec, t = [], idx
-            for _ in range(self.m):
-                vec.append(t % self.p)
-                t //= self.p
-            out.append(tuple(vec))
-        return out
+        return list(range(self.q))
 
     def sort_key(self, a):
-        return tuple(a)
+        return self._digits[a]
 
     def to_str(self, a):
+        a = self._digits[a]
         if all(c == 0 for c in a[1:]):
             return str(a[0])
         parts = []

@@ -22,14 +22,15 @@ term c X^e of g across it by one scatter through the cached shift map of
 X^e; ideal_image stacks those blocks for every generator and returns the
 GradedSubspace they span.
 
-Every basis, over every field, is one 2-D numpy array: int64 entries in
-[0, p) over GF(p), and an object array holding the field's own scalars
-(coefficient tuples over GF(p^m), Fractions over QQ) otherwise.  Row
-selection, stacking, scattering and comparison are therefore one code path;
-only the private helpers _matrix, _rref, _reduce and _is_zero know the
-format and pick the kernel (rref_mod_p / reduce_mod_p or rref_generic /
-reduce_generic).  rref() offers the same engine for small matrices outside
-the truncated ring.
+Every basis, over every field, is one 2-D numpy array: int64 over a finite
+field (residues in [0, p) over GF(p), the field's int codes in [0, q) over
+GF(p^m)) and an object array of Fractions over QQ.  Row selection, stacking,
+scattering and comparison are therefore one code path, and a zero test is
+`not v.any()` in both formats; only the private helpers _matrix, _rref and
+_reduce know the format and pick the kernel: the numpy kernel
+(rref_mod_p / reduce_mod_p, with the field's lookup tables over GF(p^m))
+for every finite field, rref_generic / reduce_generic for QQ.  rref()
+offers the same engine for small matrices outside the truncated ring.
 
 Dense rows over at most C(D+d, d) columns; the supported envelope is
 d <= 6, D <= 16.  Finished subspaces are immutable and shareable.
@@ -45,7 +46,6 @@ import numpy as np
 
 from ._kernels import reduce_mod_p, rref_mod_p
 from ._linalg import reduce_generic, rref_generic
-from .fields import PrimeField
 from .poly import Poly, TruncationContext, grlex_key
 
 
@@ -74,16 +74,17 @@ def _shift_map(nvars: int, D: int, e):
     return out
 
 
-# The four helpers below are the only code that knows how a field's matrices
-# are stored and which kernel eliminates them.  Everything else indexes,
-# stacks and compares the 2-D arrays they return.
+# The three helpers below are the only code that knows how a field's
+# matrices are stored and which kernel eliminates them.  Everything else
+# indexes, stacks and compares the 2-D arrays they return.
 
 
 def _matrix(field, shape, cells=None):
     """A matrix in the field's array format, zero or filled row-major from
-    the iterable cells: int64 entries in [0, p) for GF(p), an object array of
-    the field's own scalars otherwise.  A GF(p^m) tuple stays one cell."""
-    dtype = np.int64 if isinstance(field, PrimeField) else object
+    the iterable cells: int64 entries (residues in [0, p) for GF(p), codes
+    in [0, q) for GF(p^m)) over a finite field, an object array of Fractions
+    over QQ."""
+    dtype = np.int64 if field.char else object
     if cells is not None:
         return np.fromiter(cells, dtype=dtype, count=np.prod(shape)).reshape(shape)
     out = np.zeros(shape, dtype=dtype)  # calloc: unwritten zero pages stay free
@@ -96,10 +97,11 @@ def _rref(field, rows):
     """(canonical RREF rows as a matrix, pivot columns as ints) of a nonempty
     list of vectors in the field's format, or of a matrix, which may be
     overwritten."""
-    if isinstance(field, PrimeField):
+    if field.char:
         mat = np.asarray(rows)
-        np.remainder(mat, field.p, out=mat)
-        red, piv = rref_mod_p(mat, field.p)
+        if field.tables is None:
+            np.remainder(mat, field.p, out=mat)
+        red, piv = rref_mod_p(mat, field.p, field.tables)
         return red, piv.tolist()
     red, piv = rref_generic([r.tolist() for r in rows], field)
     return _matrix(field, (len(red), len(rows[0])), chain.from_iterable(red)), piv
@@ -107,16 +109,11 @@ def _rref(field, rows):
 
 def _reduce(field, rows, pivots, v):
     """Residue of the vector v modulo the row space of an RREF basis."""
-    if isinstance(field, PrimeField):
-        return reduce_mod_p(rows, np.asarray(pivots, dtype=np.int64), v, field.p)
+    if field.char:
+        return reduce_mod_p(rows, np.asarray(pivots, dtype=np.int64), v, field.p,
+                            field.tables)
     out = reduce_generic(rows, pivots, v, field)
     return _matrix(field, len(out), out)
-
-
-def _is_zero(field, v) -> bool:
-    if isinstance(field, PrimeField):
-        return not v.any()
-    return all(field.is_zero(c) for c in v)
 
 
 def rref(field, rows):
@@ -193,7 +190,7 @@ class GradedSubspace:
     def contains_poly(self, f: Poly) -> bool:
         if f.degree() > self.ctx.D:
             raise ValueError("polynomial exceeds truncation degree")
-        return _is_zero(self.ctx.field, self.reduce_vec(poly_to_vec(f, self.ctx)))
+        return not self.reduce_vec(poly_to_vec(f, self.ctx)).any()
 
     def reduce_poly(self, f: Poly) -> Poly:
         """Canonical residue of f modulo this subspace."""
@@ -203,7 +200,7 @@ class GradedSubspace:
 
     def contains_subspace(self, other: "GradedSubspace") -> bool:
         self._check_ctx(other)
-        return all(_is_zero(self.ctx.field, self.reduce_vec(row)) for row in other.rows)
+        return not any(self.reduce_vec(row).any() for row in other.rows)
 
     def equals(self, other: "GradedSubspace") -> bool:
         self._check_ctx(other)
@@ -262,7 +259,7 @@ class GradedSubspace:
         block[:a, N:] = self.rows
         block[a:, :N] = other.rows
         red, _ = _rref(F, block)
-        keep = [r[N:] for r in red if _is_zero(F, r[:N])]
+        keep = [r[N:] for r in red if not r[:N].any()]
         return GradedSubspace.from_vectors(ctx, keep)
 
     def coordinate_section(self, keep_columns) -> "GradedSubspace":
@@ -301,8 +298,7 @@ def multiples(g: Poly, ctx: TruncationContext, low: int = 0):
     rows = np.arange(stop - start)
     for e, c in g.terms.items():
         cols = _shift_map(ctx.nvars, ctx.D, e)[start:stop]
-        # a one-cell array, so a GF(p^m) tuple is not spread over the cells
-        out[rows[:len(cols)], cols] = _matrix(ctx.field, 1, [c])
+        out[rows[:len(cols)], cols] = c
     return out
 
 

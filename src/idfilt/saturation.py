@@ -162,7 +162,7 @@ def frobenius_probe(F: FiltrationSpec, f: Poly, a, bounds: RadicalProbeBounds) -
 # exact theta for monomial ideals
 
 
-def _exps_of(mon, nvars=None):
+def _exps_of(mon):
     if isinstance(mon, Poly):
         if len(mon.terms) != 1:
             raise ValueError("not a monomial")

@@ -65,10 +65,10 @@ def rand_scalar(rng, F, nonzero=False):
     while True:
         if F.char == 0:
             c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        elif F.m == 1:
-            c = rng.randrange(F.p)
         else:
-            c = tuple(rng.randrange(F.p) for _ in range(F.m))
+            # m digits in [0, p), lowest first, make the field's int code
+            # (one digit, the residue itself, over GF(p))
+            c = sum(rng.randrange(F.p) * F.p ** k for k in range(F.m))
         if not nonzero or not F.is_zero(c):
             return c
 

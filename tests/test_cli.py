@@ -119,6 +119,12 @@ PINNED_REPORTS = {
     "gf3_infmu": ("field: GF(3)\nvars: x, y, z\ntruncation: 6\n"
                   "gen: x + z^4 @ 1\ngen: y^3 @ 3\n",
                   "9a78c8311b89680a4cb0dbf07580f4eb327f82eb6736ff27a77c09f374266486"),
+    "gf4_d2": ("field: GF(2^2)\nvars: x, y\ntruncation: 6\n"
+               "gen: x^2 + y^3 @ 2\ngen: x*y^2 @ 3\n",
+               "ebf641f2429490f788555b8c9c24c3ff6fe8e7bc352c1c5e5d865796f0caf2e3"),
+    "gf27_infmu": ("field: GF(3^3)\nvars: x, y, z\ntruncation: 6\n"
+                   "gen: x + z^4 @ 1\ngen: y^3 @ 3\n",
+                   "34e77d7befeaebb26e37d3acd49599d5adc2a0823856586d3b08f5b2ac17b694"),
 }
 
 

@@ -1,8 +1,10 @@
 """The elimination engine against a plain exact Gauss-Jordan oracle.
 
 The oracle below uses nothing but the Field interface, so these tests check
-both kernels the engine runs (numpy over GF(p), the generic kernel over
-GF(p^m) and QQ) the same way.
+both kernels the engine runs (the numpy kernel over GF(p) and, with table
+lookups, over every built-in GF(p^m); the generic kernel over QQ) the same
+way.  The field arithmetic itself is checked against an independent
+reference in test_fields.
 """
 
 import pytest
@@ -10,14 +12,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from idfilt import gls
-from idfilt.fields import ExtensionField, PrimeField, RationalField
+from idfilt.fields import BUILTIN_MODULI, ExtensionField, PrimeField, RationalField
 from idfilt.gls import GradedSubspace, monomial_basis
 from idfilt.poly import Poly, TruncationContext
 
-FIELDS = [PrimeField(2), PrimeField(3), PrimeField(7), ExtensionField(2, 2),
-          ExtensionField(3, 2), RationalField(),
+FIELDS = [PrimeField(2), PrimeField(3), PrimeField(7), RationalField(),
           # the largest primes the int64 kernels accept
-          PrimeField(2147483647)]
+          PrimeField(2147483647)] + [ExtensionField(p, m) for p, m in sorted(BUILTIN_MODULI)]
 
 ORACLE = settings(max_examples=40, derandomize=True, database=None, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])
@@ -78,10 +79,8 @@ def engine_basis(S):
 # inputs ----------------------------------------------------------------------
 
 def scalars(F):
-    if isinstance(F, PrimeField):
-        return st.integers(0, F.p - 1)
-    if isinstance(F, ExtensionField):
-        return st.tuples(*[st.integers(0, F.p - 1)] * F.m)
+    if F.char:  # residues over GF(p), int codes over GF(p^m)
+        return st.integers(0, F.p ** F.m - 1)
     return st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 

@@ -124,3 +124,22 @@ def test_rref_mod_p_rows_own_their_memory():
     rows, piv = rref_mod_p(mat, 2)
     assert rows.base is None
     assert rows.tolist() == [[1, 0, 1], [0, 1, 1]] and piv.tolist() == [0, 1]
+
+
+def test_extension_fields_use_the_numpy_kernel(monkeypatch):
+    # GF(p^m) scalars are int codes in one int64 matrix format; the generic
+    # kernel serves QQ only, so analyze over GF(3^2) never reaches it
+    from idfilt import gls
+    from idfilt.fields import ExtensionField
+    from idfilt.pipeline import analyze
+    from idfilt.specfile import parse_spec
+
+    def generic(*args):
+        raise AssertionError("generic kernel called")
+
+    monkeypatch.setattr(gls, "rref_generic", generic)
+    monkeypatch.setattr(gls, "reduce_generic", generic)
+    assert gls._matrix(ExtensionField(3, 2), (2, 3)).dtype == np.int64
+    rep = analyze(parse_spec("field: GF(3^2)\nvars: x, y, z\ntruncation: 6\n"
+                             "gen: x + y^2 @ 1\ngen: y^3 + z^4 @ 3\n"))
+    assert rep["input"]["field"] == "GF(3^2)"

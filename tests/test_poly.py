@@ -82,7 +82,7 @@ def test_pe_power_root_randomized(rng, F2, F3, F9):
                     if F.m == 1:
                         t[exps] = rng.randrange(1, p)
                     else:
-                        t[exps] = tuple(rng.randrange(p) for _ in range(F.m))
+                        t[exps] = rng.randrange(p ** F.m)
             g = Poly(F, 2, t)
             if g.is_zero():
                 continue
