@@ -1,43 +1,208 @@
-"""Generic exact row reduction over QQ only.
+"""Exact row reduction over QQ, by certified multimodular elimination.
 
-Handles Fractions through the Field interface, on dense lists of scalars;
-every finite field, GF(p) and GF(p^m) alike, is eliminated in _kernels.
-A row update negates its multiplier once, so each cell costs one field mul
-and one add.
+rref_generic never eliminates over the rationals.  It follows the
+multimodular echelon form (Stein, Modular Forms: A Computational Approach,
+section 7):
+
+1. Each row is scaled by the lcm of its denominators, giving an integer
+   matrix A with the same RREF: int64 when every entry fits, else Python
+   ints.
+2. A is reduced modulo primes just below 2^31 by the numpy kernel
+   _kernels.rref_mod_p (they satisfy its (p-1)^2 + (p-1) < 2^63 bound).
+   rank(A mod p) <= rank(A) for every p, and a good prime gives the leftmost
+   pivots, so only the primes with the highest rank, then the smallest pivot
+   list, are kept; a better prime discards the ones kept before it.
+3. The kept residues are combined by CRT, and each distinct value is read
+   back as a fraction by maximal quotient rational reconstruction
+   (Monagan, ISSAC 2004).
+4. The candidate B, with pivot columns P, is certified exactly.  With L the
+   lcm of its denominators, C = L*B is an integer matrix, and the identity
+   L*A = A[:, P] @ C is checked, on the non-pivot columns, modulo small
+   primes q whose product exceeds twice the bound on both sides; each
+   product is exact in float64, since k*(q-1)^2 < 2^53 for the inner
+   dimension k.  The identity puts the row space of A inside that of B,
+   and rank(A) >= rank(A mod p) = rank(B) makes them equal; B has unit
+   pivot columns and zeros left of each pivot, so it is the canonical RREF
+   of A.
+
+When reconstruction or the certificate fails, the next prime is added.
+Values are handled once per distinct object: the input cells are grouped by
+identity, and each distinct output value is one shared Fraction.
+
+reduce_generic keeps an exact Fraction loop for the residue of one vector.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, count
+from math import gcd, isqrt, lcm, prod
+from operator import mul
+
+import numpy as np
+
+from ._kernels import rref_mod_p
+from .fields import is_prime
+
+# the elimination primes lie below this bound; any p < 2^31 meets the
+# kernel's int64 bound
+_ELIM_BOUND = 1 << 31
+# entries of A below this in absolute value are stored as int64
+_INT64_SAFE = 1 << 62
+# Monagan's threshold is 2^c * log2(m); a larger c makes a spurious
+# reconstruction rarer and needs more primes for the same values
+_MQRR_BITS = 10
+
+
+@lru_cache(maxsize=None)
+def _prime(bound: int, i: int) -> int:
+    """The i-th largest prime below bound (i = 0 is the largest), found on
+    first use; callers ask for i = 0, 1, 2, ... in turn."""
+    n = _prime(bound, i - 1) if i else bound
+    n -= 1
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+def _distinct(rows):
+    """(values, index): the distinct objects among the cells of equal-length
+    rows, found by identity, and the position in values of each cell's
+    object, as a matrix.  Equal values held by different objects stay apart,
+    which costs only repeated work."""
+    ncols = len(rows[0])
+    ids = np.fromiter(map(id, chain.from_iterable(rows)), dtype=np.uintp,
+                      count=len(rows) * ncols)
+    _, first, index = np.unique(ids, return_index=True, return_inverse=True)
+    values = [rows[i][j] for i, j in zip(*np.divmod(first, ncols))]
+    return values, index.reshape(len(rows), ncols)
+
+
+def _integer_rows(values, index):
+    """(A, max |A|): the matrix values[index] with each row scaled by the lcm
+    of its denominators, which keeps its RREF.  A is int64 when every entry
+    fits, else an object array of Python ints."""
+    num = np.array([v.numerator for v in values], dtype=object)
+    den = np.array([v.denominator for v in values], dtype=object)
+    if (den == 1).all():
+        norm = max(map(abs, num), default=0)
+        return (num.astype(np.int64) if norm < _INT64_SAFE else num)[index], norm
+    d = den[index]
+    scale = np.array([lcm(*set(row)) for row in d.tolist()], dtype=object)
+    A = num[index] * (scale[:, None] // d)
+    norm = max(map(abs, A.ravel().tolist()), default=0)
+    return (A.astype(np.int64) if norm < _INT64_SAFE else A), norm
+
+
+def _residues(A, p: int):
+    """A mod p as int64 entries in [0, p)."""
+    return np.asarray(A % p, dtype=np.int64)
+
+
+def _mqrr(u: int, m: int):
+    """The fraction n/d with n == u*d (mod m) read off the largest quotient of
+    the Euclidean algorithm on (m, u), or None when no quotient exceeds the
+    threshold 2^c log2(m) (Monagan's maximal quotient rational
+    reconstruction)."""
+    T = m.bit_length() << _MQRR_BITS
+    if u == 0:
+        return Fraction(0) if m > T else None
+    n = d = 0
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 and r0 > T:
+        q = r0 // r1
+        if q > T:
+            n, d, T = r1, t1, q
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if d == 0 or gcd(n, d) != 1:
+        return None
+    return Fraction(n, d)
+
+
+def _reconstruct(kept, shape):
+    """(values, index) of the rational matrix whose residues modulo the kept
+    primes are the kept RREF rows, or None when a value does not reconstruct
+    from them yet."""
+    # number the distinct residue tuples one prime at a time: index < cells
+    # and p < 2^31 keep index * p + residue inside int64
+    index = np.zeros(prod(shape), dtype=np.int64)
+    for p, red in kept:
+        _, first, index = np.unique(index * p + red.ravel(), return_index=True,
+                                    return_inverse=True)
+    primes = [p for p, _ in kept]
+    m = prod(primes)
+    crt = [(m // p) * pow(m // p, -1, p) for p in primes]
+    values = []
+    for residues in zip(*(red.ravel()[first].tolist() for _, red in kept)):
+        x = _mqrr(sum(map(mul, residues, crt)) % m, m)
+        if x is None:
+            return None
+        values.append(x)
+    return values, index.reshape(shape)
+
+
+def _certified(A, norm, values, index, pivots) -> bool:
+    """Whether L*A == A[:, pivots] @ (L*B) holds exactly for the candidate
+    B = values[index] with pivot columns pivots, L the lcm of its
+    denominators and norm = max |A|.  Together with rank(A) >= len(pivots)
+    this proves B is the RREF of A.
+
+    B has unit pivot columns by construction, so the identity holds on them
+    and only the other columns are checked.  The products are float64
+    einsum sums of integers below 2^53, so they are exact; einsum, unlike
+    the BLAS matmul, allocates no work buffer that would stay resident."""
+    L = lcm(*(v.denominator for v in values))
+    C = np.array([v.numerator * (L // v.denominator) for v in values], dtype=object)
+    cnorm = max(map(abs, C), default=0)
+    bound = 2 * max(L * norm, len(pivots) * norm * cnorm)
+    free = np.ones(index.shape[1], dtype=bool)
+    free[pivots] = False
+    index = index[:, free]
+    # k (q-1)^2 < 2^53 for the inner dimension k = len(pivots)
+    qbound = isqrt((1 << 53) >> len(pivots).bit_length())
+    modulus = 1
+    for i in count():
+        if modulus > bound:
+            return True
+        q = _prime(qbound, i)
+        modulus *= q
+        Aq = _residues(A, q)
+        rhs = np.einsum("ik,kj->ij", Aq[:, pivots].astype(np.float64),
+                        _residues(C, q)[index].astype(np.float64))
+        rhs %= q
+        lhs = Aq[:, free]
+        lhs *= L % q
+        lhs %= q
+        if not np.array_equal(lhs, rhs):
+            return False
+
 
 def rref_generic(rows, field):
-    """In-place reduced row echelon form; returns (rows, pivot_columns)."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    zero = field.zero()
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if not field.is_zero(rows[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != field.one():
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not field.is_zero(rows[i][c]):
-                nf = field.neg(rows[i][c])
-                rows[i] = [field.add(x, field.mul(nf, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    """Canonical RREF over QQ of a nonempty list of equal-length rows of
+    Fractions.
+
+    Returns (matrix, pivots): the nonzero RREF rows as an object array of
+    Fractions, one shared object per distinct value, and the pivot columns
+    as ints.
+    """
+    A, norm = _integer_rows(*_distinct(rows))
+    best, kept = None, []
+    for i in count():
+        p = _prime(_ELIM_BOUND, i)
+        red, piv = rref_mod_p(_residues(A, p), p)
+        piv = piv.tolist()
+        profile = (-len(piv), piv)
+        if best is not None and profile > best:
+            continue  # p divides a minor that fixes the echelon form over QQ
+        if profile != best:
+            best, kept = profile, []
+        kept.append((p, red))
+        cand = _reconstruct(kept, red.shape)
+        if cand is not None and _certified(A, norm, *cand, piv):
+            values, index = cand
+            return np.array(values, dtype=object)[index], piv
 
 
 def reduce_generic(rows, pivots, v, field):

@@ -29,11 +29,18 @@ scattering and comparison are therefore one code path, and a zero test is
 `not v.any()` in both formats; only the private helpers _matrix, _rref and
 _reduce know the format and pick the kernel: the numpy kernel
 (rref_mod_p / reduce_mod_p, with the field's lookup tables over GF(p^m))
-for every finite field, rref_generic / reduce_generic for QQ.  rref()
-offers the same engine for small matrices outside the truncated ring.
+for every finite field, rref_generic / reduce_generic for QQ.  Over QQ,
+rref_generic eliminates modulo word-size primes in that same numpy kernel
+and certifies the rational result exactly (see _linalg); reduce_generic,
+an exact Fraction loop, only serves the residue of a single vector.
+Containment of subspaces is one rank test, dim(S + T) == dim(S), on every
+field.  rref() offers the same engine for small matrices outside the
+truncated ring.
 
-Dense rows over at most C(D+d, d) columns; the supported envelope is
-d <= 6, D <= 16.  Finished subspaces are immutable and shareable.
+Dense rows over at most N = C(D+d, d) columns; the supported envelope is
+d <= 6, D <= 16, and the spec parser refuses a ring whose level-0 ideal,
+an N x N matrix at 8 bytes a cell, would exceed 1 GiB.  Finished subspaces
+are immutable and shareable.
 """
 
 from __future__ import annotations
@@ -103,8 +110,7 @@ def _rref(field, rows):
             np.remainder(mat, field.p, out=mat)
         red, piv = rref_mod_p(mat, field.p, field.tables)
         return red, piv.tolist()
-    red, piv = rref_generic([r.tolist() for r in rows], field)
-    return _matrix(field, (len(red), len(rows[0])), chain.from_iterable(red)), piv
+    return rref_generic(list(rows), field)
 
 
 def _reduce(field, rows, pivots, v):
@@ -199,8 +205,8 @@ class GradedSubspace:
         return vec_to_poly(self.reduce_vec(poly_to_vec(f, self.ctx)), self.ctx)
 
     def contains_subspace(self, other: "GradedSubspace") -> bool:
-        self._check_ctx(other)
-        return not any(self.reduce_vec(row).any() for row in other.rows)
+        """One rank test: other lies in self iff their sum is no bigger."""
+        return self.sum_with(other).dim == self.dim
 
     def equals(self, other: "GradedSubspace") -> bool:
         self._check_ctx(other)

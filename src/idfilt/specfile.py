@@ -19,12 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
+from math import comb
 
 from .fields import Field, FieldError, field_from_spec
 from .poly import Poly, PolyParseError, TruncationContext, parse_poly, poly_str
 
 MAX_VARS = 6
 MAX_TRUNC = 16
+# largest admissible level-0 ideal I_0 = R: its basis is an N x N matrix
+# over the N = C(D+d, d) monomials of degree <= D, counted at 8 bytes a cell
+MAX_LEVEL0_BYTES = 1 << 30
 # least admissible value of each integer option directive
 _OPTION_MIN = {"radical_n_max": 1, "radical_grid": 1, "emax": 0}
 
@@ -126,7 +130,7 @@ def parse_spec(text: str) -> SpecFile:
         raise SpecError("E_VAR", 0, "missing 'vars:' directive")
     if D is None:
         raise SpecError("E_TRUNC", 0, "missing 'truncation:' directive")
-    _check_trunc(D)
+    _check_trunc(D, len(names))
     for b in boundary:
         if b not in names:
             raise SpecError("E_VAR", 0, f"boundary variable {b!r} not declared")
@@ -149,11 +153,20 @@ def parse_spec(text: str) -> SpecFile:
     return SpecFile(field, names, D, boundary, gens, options)
 
 
-def _check_trunc(D):
+def _check_trunc(D, nvars):
+    """D, if it lies in 1..MAX_TRUNC and the level-0 ideal of the ring fits
+    in MAX_LEVEL0_BYTES; checked before anything is allocated."""
     if not 1 <= D <= MAX_TRUNC:
         raise SpecError("E_TRUNC", 0,
                         f"truncation degree {D} outside supported envelope "
                         f"1..{MAX_TRUNC}")
+    N = comb(D + nvars, nvars)
+    if 8 * N * N > MAX_LEVEL0_BYTES:
+        raise SpecError("E_TRUNC", 0,
+                        f"{nvars} variables at truncation {D} span N = {N} "
+                        f"monomials; the level-0 ideal, an N x N int64 matrix "
+                        f"of {8 * N * N} bytes, exceeds the {MAX_LEVEL0_BYTES} "
+                        f"byte limit")
     return D
 
 
@@ -175,7 +188,7 @@ def apply_overrides(spec: SpecFile, overrides) -> None:
         if val is None:
             continue
         if key == "truncation":
-            spec.D = _check_trunc(val)
+            spec.D = _check_trunc(val, len(spec.names))
         else:
             setattr(spec.options, key, _option(key, val, 0))
 

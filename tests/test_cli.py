@@ -125,6 +125,18 @@ PINNED_REPORTS = {
     "gf27_infmu": ("field: GF(3^3)\nvars: x, y, z\ntruncation: 6\n"
                    "gen: x + z^4 @ 1\ngen: y^3 @ 3\n",
                    "34e77d7befeaebb26e37d3acd49599d5adc2a0823856586d3b08f5b2ac17b694"),
+    # QQ: the multimodular elimination must print what exact elimination did
+    "qq_infmu": ("field: QQ\nvars: x, y, z\ntruncation: 6\n"
+                 "gen: x + y^2 @ 1\ngen: y^2 @ 2\n",
+                 "f64df3e12b8e0c8b3d9bd40230e944884c333b07a3ecb2c762263aad0e44c27b"),
+    "qq_d3": ("field: QQ\nvars: x, y, z\ntruncation: 6\n"
+              "gen: x^3+y^4+z^5 @ 3\ngen: x*y*z @ 2\n",
+              "bdca48c226d184a16bdb60d9ba4a3aa8a740a420e3e70e3dc2df0a687f84eb89"),
+    "qq_large_coefficients": (
+        "field: QQ\nvars: x, y, z\ntruncation: 6\n"
+        "gen: 1000003*x^2 + 999999937*y^3 - 123456789012345678901*z^4 @ 2\n"
+        "gen: 7*x*y*z + 3*y^2 + 2*x*z @ 3\n",
+        "d12f7ad59db9de32e44589e9d01e0c7bab81041196f8f5fc1b12a52a2a18f499"),
 }
 
 
@@ -137,6 +149,18 @@ def test_analyze_report_bytes_pinned(name, tmp_path, capsys):
     assert main(["analyze", str(p), "--json"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_verify_json_pinned(capsys):
+    # the whole invariant corpus, byte for byte: 22 suites, 306,757 instances
+    from idfilt.cli import main
+    assert main(["verify", "--json"]) == 0
+    out = capsys.readouterr().out.encode()
+    payload = json.loads(out)
+    assert len(payload["suites"]) == 22
+    assert sum(s["instances"] for s in payload["suites"]) == 306757
+    assert hashlib.sha256(out).hexdigest() == (
+        "4b9864568ce63eb0de982ad21c1fc77d5f49b54cd181abb49953c1844c3fae3e")
 
 
 def test_text_rendering_is_default(showcase_file):

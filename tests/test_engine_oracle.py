@@ -7,11 +7,16 @@ way.  The field arithmetic itself is checked against an independent
 reference in test_fields.
 """
 
+from fractions import Fraction
+from math import isqrt
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from idfilt import gls
+from idfilt import _linalg, gls
+from idfilt._kernels import rref_mod_p
 from idfilt.fields import BUILTIN_MODULI, ExtensionField, PrimeField, RationalField
 from idfilt.gls import GradedSubspace, monomial_basis
 from idfilt.poly import Poly, TruncationContext
@@ -198,3 +203,103 @@ def test_rref_returns_python_scalars(F):
     rows, pivots = gls.rref(F, [[F.zero(), F.one()], [F.one(), F.one()]])
     assert pivots == [0, 1] and rows == [[F.one(), F.zero()], [F.zero(), F.one()]]
     assert all(type(x) is type(F.one()) for row in rows for x in row)
+
+
+# QQ: the multimodular elimination and its certificate -------------------------
+
+QQ = RationalField()
+
+
+@st.composite
+def wide_matrices(draw):
+    """QQ matrices with numerators and denominators up to 2^100, often with a
+    dependent row, so that many primes, CRT and reconstruction are needed."""
+    wide = st.builds(Fraction, st.integers(-2 ** 100, 2 ** 100), st.integers(1, 2 ** 100))
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(wide, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=5))
+    if len(rows) >= 2 and draw(st.booleans()):
+        c = draw(wide)
+        rows.append([x + c * y for x, y in zip(rows[0], rows[-1])])
+    return rows
+
+
+@ORACLE
+@given(wide_matrices())
+def test_rref_wide_rationals(rows):
+    assert gls.rref(QQ, rows) == gauss_jordan(QQ, rows)
+
+
+def test_wide_entries_take_several_primes(monkeypatch):
+    calls = []
+
+    def counted(mat, p, tables=None):
+        calls.append(p)
+        return rref_mod_p(mat, p, tables)
+
+    monkeypatch.setattr(_linalg, "rref_mod_p", counted)
+    rows = [[Fraction(3 ** 70, 7 ** 30), Fraction(1), Fraction(-5 ** 40, 3)],
+            [Fraction(2), Fraction(11 ** 35, 13 ** 20), Fraction(1, 2 ** 90)]]
+    assert gls.rref(QQ, rows) == gauss_jordan(QQ, rows)
+    assert len(calls) > 2 and len(set(calls)) == len(calls)
+
+
+def test_bad_prime_keeps_the_rank():
+    # rank 1 modulo the first elimination prime, rank 2 over QQ
+    p1 = _linalg._prime(_linalg._ELIM_BOUND, 0)
+    rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1 + p1)]]
+    assert len(rref_mod_p(np.array([[1, 1], [1, 1 + p1]]) % p1, p1)[1]) == 1
+    assert gls.rref(QQ, rows) == ([[1, 0], [0, 1]], [0, 1])
+
+
+def test_certificate_rejects_tampered_candidates():
+    rows = [[Fraction(2), Fraction(4), Fraction(1, 3), Fraction(5)],
+            [Fraction(1), Fraction(5), Fraction(0), Fraction(-7, 2)],
+            [Fraction(3), Fraction(9), Fraction(1, 3), Fraction(3, 2)]]
+    A, norm = _linalg._integer_rows(*_linalg._distinct(rows))
+    B, piv = _linalg.rref_generic(rows, QQ)
+    assert (B.tolist(), piv) == gauss_jordan(QQ, rows)
+
+    def certified(cand, pivots=piv):
+        return _linalg._certified(A, norm, *_linalg._distinct(cand), pivots)
+
+    assert certified(B)
+    q = _linalg._prime(isqrt((1 << 53) >> len(piv).bit_length()), 0)
+    for k, c in ((0, 2), (1, 3)):
+        for delta in (Fraction(1, 7), Fraction(q), Fraction(-1)):
+            bad = B.copy()
+            bad[k, c] += delta
+            assert not certified(bad)
+    assert not certified(B[:1], piv[:1])  # a row space too small
+
+
+def test_qq_engine_never_uses_field_arithmetic(monkeypatch):
+    ctx = TruncationContext(QQ, 2, 3, frozenset())
+    mons = monomial_basis(2, 3)[0]
+    gens = [Poly(QQ, 2, {mons[1]: Fraction(1, 2), mons[4]: Fraction(3)}),
+            Poly(QQ, 2, {mons[2]: Fraction(-2), mons[5]: Fraction(7, 3)}),
+            Poly(QQ, 2, {mons[3]: Fraction(1)})]
+    vecs = [gls.poly_to_vec(g, ctx) for g in gens]
+    rows = [v.tolist() for v in vecs]
+
+    def forbidden(*args):
+        raise AssertionError("QQ field arithmetic called")
+
+    monkeypatch.setattr(RationalField, "add", forbidden)
+    monkeypatch.setattr(RationalField, "mul", forbidden)
+    A = GradedSubspace.from_vectors(ctx, vecs[:2])
+    B = GradedSubspace.from_vectors(ctx, vecs[1:])
+    assert A.sum_with(B).dim == 3
+    assert A.intersect(B).dim == 1
+    assert A.coordinate_section(range(len(mons) // 2)).dim <= A.dim
+    assert gls.rref(QQ, rows)[1] == [1, 2, 3]
+
+
+@ORACLE
+@given(two_sets())
+def test_contains_subspace_matches_row_residues(case):
+    ctx, ga, gb = case
+    A, B = GradedSubspace.from_polys(ctx, ga), GradedSubspace.from_polys(ctx, gb)
+    for big, small in ((A, B), (B, A), (A, A.intersect(B)), (A.sum_with(B), B)):
+        want = all(not big.reduce_vec(row).any() for row in small.rows)
+        assert big.contains_subspace(small) == want

@@ -65,6 +65,34 @@ def test_parse_error_envelope():
     assert exc.value.code == "E_VAR"
 
 
+@pytest.mark.parametrize("nvars, D, refused", [(6, 16, True), (6, 12, True), (4, 16, False)])
+def test_level0_ideal_size_envelope(nvars, D, refused):
+    # refused when I_0 = R, an N x N int64 matrix with N = C(D+d, d), would
+    # exceed 1 GiB: 74613 and 18564 monomials are too many, 4845 are not
+    from math import comb
+
+    from idfilt.specfile import MAX_LEVEL0_BYTES
+    names = ", ".join("abcdef"[:nvars])
+    text = f"field: QQ\nvars: {names}\ntruncation: {D}\ngen: a @ 1\n"
+    N = comb(D + nvars, nvars)
+    assert (8 * N * N > MAX_LEVEL0_BYTES) == refused
+    if not refused:
+        assert parse_spec(text).D == D
+        return
+    with pytest.raises(SpecError) as exc:
+        parse_spec(text)
+    assert exc.value.code == "E_TRUNC"
+    assert f"N = {N}" in str(exc.value) and f"{8 * N * N} bytes" in str(exc.value)
+
+
+def test_override_obeys_the_size_envelope():
+    from idfilt.specfile import apply_overrides
+    spec = parse_spec("field: GF(2)\nvars: a, b, c, d, e, f\ntruncation: 4\n")
+    with pytest.raises(SpecError) as exc:
+        apply_overrides(spec, {"truncation": 12})
+    assert exc.value.code == "E_TRUNC" and "N = 18564" in str(exc.value)
+
+
 def test_parse_error_missing_sections():
     with pytest.raises(SpecError):
         parse_spec("vars: x\ntruncation: 4\n")
