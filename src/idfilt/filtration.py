@@ -86,10 +86,15 @@ class FiltrationSpec:
 
         A product whose order exceeds D vanishes in the quotient and any
         extension of a qualifying product is a redundant multiple, so the
-        search emits exactly the antichain of minimal exponent vectors.
+        search stops each branch at the first power that reaches a.  That is
+        not yet an antichain: with x @ 1/2 and y^2 @ 2/3, level 7/6 yields
+        x^2*y^2 beside x*y^2, and ideal_image prunes such multiples.
+        Levels are walked as integers in units of 1/grid_denominator.
         """
         D = self.ctx.D
-        data = [(f.truncate(D), lvl, f.order()) for f, lvl in self.gens]
+        delta = self.grid_denominator
+        a = math.ceil(Fraction(a) * delta)
+        data = [(f.truncate(D), int(lvl * delta), f.order()) for f, lvl in self.gens]
         out = []
 
         def walk(i, prod, level, order):
@@ -114,7 +119,7 @@ class FiltrationSpec:
                     break
                 walk(i + 1, p, l, o)
 
-        walk(0, Poly.one(self.ctx.field, self.ctx.nvars), Fraction(0), 0)
+        walk(0, Poly.one(self.ctx.field, self.ctx.nvars), 0, 0)
         return out
 
     def ideal_at_level(self, a) -> GradedSubspace:

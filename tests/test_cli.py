@@ -125,6 +125,11 @@ PINNED_REPORTS = {
     "gf27_infmu": ("field: GF(3^3)\nvars: x, y, z\ntruncation: 6\n"
                    "gen: x + z^4 @ 1\ngen: y^3 @ 3\n",
                    "34e77d7befeaebb26e37d3acd49599d5adc2a0823856586d3b08f5b2ac17b694"),
+    # the saturated level ideals stack hundreds of monomial multiples, which
+    # ideal_image prunes: the span, and so the report, must not move
+    "gf3_d3_D12": ("field: GF(3)\nvars: x, y, z\ntruncation: 12\n"
+                   "gen: x^3 + y^4 + z^5 @ 3\ngen: x*y*z @ 2\n",
+                   "d5f45be1d0adf75d682597fec9a5c7f6ecd00867a78554f7227648fd5f48fd68"),
     # QQ: the multimodular elimination must print what exact elimination did
     "qq_infmu": ("field: QQ\nvars: x, y, z\ntruncation: 6\n"
                  "gen: x + y^2 @ 1\ngen: y^2 @ 2\n",

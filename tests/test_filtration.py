@@ -5,7 +5,7 @@ import pytest
 from idfilt.filtration import FiltrationSpec, ideal_at_level, in_support, \
     is_integral_witness, mu_P
 from idfilt.gls import GradedSubspace, ideal_image, membership, power_m
-from idfilt.poly import Poly
+from idfilt.poly import Poly, poly_str
 from tests.conftest import ctx_of, mk
 
 
@@ -191,3 +191,17 @@ def test_integral_witness_examples(QQ):
     assert not is_integral_witness(G, mk(QQ, "y"), 1, [-mk(QQ, "y")])
     with pytest.raises(ValueError):
         is_integral_witness(G, mk(QQ, "x"), 1, [])
+
+
+def test_minimal_products_between_grid_points(F3):
+    # the walk counts levels in grid units, rounding a target up to the grid
+    ctx = ctx_of(F3, 2, 8)
+    F = FiltrationSpec(ctx, [(mk(F3, "x"), Fraction(1, 2)), (mk(F3, "y^2"), Fraction(2, 3))])
+    key = lambda prods: sorted(p.sort_key() for p in prods)
+    assert key(F._minimal_products(Fraction(5, 4))) == key(F._minimal_products(Fraction(4, 3)))
+    # the walk stops each generator's power at the first one reaching 7/6:
+    # x^3 (3/2), y^4 (4/3), x*y^2 (7/6), and x^2*y^2 (5/3), since x^2 alone
+    # (1) falls short; ideal_image drops that multiple of x*y^2
+    got = {poly_str(p) for p in F._minimal_products(Fraction(7, 6))}
+    assert got == {"x^3", "y^4", "x*y^2", "x^2*y^2"}
+    assert [poly_str(p) for p in F._minimal_products(0)] == ["1"]

@@ -3,9 +3,9 @@ import pytest
 
 from idfilt._kernels import rref_mod_p
 from idfilt.gls import (GradedSubspace, ideal_image, membership,
-                        monomial_basis, power_m, subspace_intersect,
-                        subspace_sum)
-from idfilt.poly import Poly, poly_str
+                        monomial_basis, poly_to_vec, power_m, subspace_intersect,
+                        subspace_sum, vec_to_poly)
+from idfilt.poly import Poly, grlex_key, poly_str
 from tests.conftest import ctx_of, mk
 
 
@@ -143,3 +143,21 @@ def test_extension_fields_use_the_numpy_kernel(monkeypatch):
     rep = analyze(parse_spec("field: GF(3^2)\nvars: x, y, z\ntruncation: 6\n"
                              "gen: x + y^2 @ 1\ngen: y^3 + z^4 @ 3\n"))
     assert rep["input"]["field"] == "GF(3^2)"
+
+
+def test_equals_reads_the_non_pivot_columns(F3):
+    ctx = ctx_of(F3, 2, 2)
+    A = ideal_image([mk(F3, "x + y^2")], ctx)
+    B = ideal_image([mk(F3, "x + 2*y^2")], ctx)
+    assert A.pivots == B.pivots and not A.equals(B)
+    assert A.equals(ideal_image([mk(F3, "2*x + 2*y^2")], ctx))
+
+
+@pytest.mark.parametrize("name", ["F2", "F9", "QQ"])
+def test_vec_to_poly_round_trip(name, request):
+    F = request.getfixturevalue(name)
+    ctx = ctx_of(F, 2, 4)
+    f = mk(F, "y^4 + 2*x*y + x^2 + 3") if F.char != 2 else mk(F, "y^4 + x*y + 1")
+    g = vec_to_poly(poly_to_vec(f, ctx), ctx)
+    assert g == f and list(g.terms) == sorted(f.terms, key=grlex_key)
+    assert vec_to_poly(poly_to_vec(Poly.zero(F, 2), ctx), ctx).is_zero()

@@ -1,0 +1,143 @@
+"""ideal_image stacks only a pruned generating set; the span must not move.
+
+The pruning (gls._pruned) drops monomial multiples c X^E q of a kept q and
+non-monomials inside the ideal of the kept monomials.  These tests compare
+ideal_image with the unpruned stack of every generator's multiples, check
+that each dropped generator lies in the span of what was kept, and check
+that what was kept has neither kind of redundancy left.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from idfilt import gls
+from idfilt.fields import ExtensionField, PrimeField, RationalField
+from idfilt.filtration import FiltrationSpec
+from idfilt.gls import GradedSubspace, ideal_image, monomial_basis, multiples
+from idfilt.poly import Poly, TruncationContext, poly_str
+from idfilt.saturation import RadicalProbeBounds, b_saturate_probe
+from idfilt.specfile import parse_spec
+from tests.conftest import ctx_of, mk
+from tests.test_cli import PINNED_REPORTS
+
+FIELDS = [PrimeField(2), PrimeField(3), ExtensionField(3, 2), RationalField()]
+
+PRUNING = settings(max_examples=60, derandomize=True, database=None, deadline=None,
+                   suppress_health_check=[HealthCheck.too_slow])
+
+
+def unpruned(gens, ctx):
+    blocks = [multiples(g, ctx) for g in gens]
+    return GradedSubspace.from_vectors(ctx, np.vstack(blocks) if blocks else [])
+
+
+def nonzero_scalars(F):
+    if F.char:
+        return st.integers(1, F.p ** F.m - 1)
+    return st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def generator_lists(draw):
+    """A context and a shuffled list of generators: general polynomials, their
+    scalar and monomial multiples (some reaching past D), monomials, and
+    polynomials inside the ideal of those monomials."""
+    F = draw(st.sampled_from(FIELDS))
+    ctx = TruncationContext(F, draw(st.integers(1, 3)), draw(st.integers(1, 5)),
+                            frozenset())
+    mons = monomial_basis(ctx.nvars, ctx.D)[0]
+    low = [m for m in mons if sum(m) <= 2]
+    exps = st.sampled_from(mons)
+    base = [Poly(F, ctx.nvars, draw(st.dictionaries(exps, nonzero_scalars(F),
+                                                    min_size=1, max_size=3)))
+            for _ in range(draw(st.integers(1, 3)))]
+    monos = [Poly.monomial(F, ctx.nvars, draw(exps), draw(nonzero_scalars(F)))
+             for _ in range(draw(st.integers(0, 3)))]
+    gens = base + monos
+    for _ in range(draw(st.integers(0, 6))):
+        g = draw(st.sampled_from(gens))
+        gens.append(g.shift(draw(st.sampled_from(low))).scale(draw(nonzero_scalars(F))))
+    for m in monos[:2]:
+        # a combination of monomial multiples of m: inside the monomial ideal
+        terms = {tuple(x + y for x, y in zip(next(iter(m.terms)), A)): draw(nonzero_scalars(F))
+                 for A in draw(st.lists(st.sampled_from(low), min_size=1, max_size=3))}
+        gens.append(Poly(F, ctx.nvars, terms))
+    return ctx, draw(st.permutations(gens))
+
+
+def monomial_multiple(p, q):
+    """Is p = c X^E q for a scalar c and a monomial X^E.  A monomial shift keeps
+    the order of exponent tuples, so the smallest terms must correspond."""
+    F = p.field
+    ep, eq = min(p.terms), min(q.terms)
+    E = tuple(x - y for x, y in zip(ep, eq))
+    if min(E) < 0 or len(p.terms) != len(q.terms):
+        return False
+    c = F.mul(p.terms[ep], F.inv(q.terms[eq]))
+    return q.shift(E).scale(c) == p
+
+
+@PRUNING
+@given(generator_lists())
+def test_pruning_keeps_the_span(case):
+    ctx, gens = case
+    assert ideal_image(gens, ctx).equals(unpruned(gens, ctx))
+    kept = gls._pruned(gens, ctx)
+    truncated = [g.truncate(ctx.D) for g in gens]
+    assert all(p in truncated for p in kept)
+    span = unpruned(kept, ctx)
+    for g in truncated:
+        if g not in kept:
+            assert span.contains_subspace(GradedSubspace.from_vectors(ctx, multiples(g, ctx)))
+
+
+@PRUNING
+@given(generator_lists())
+def test_kept_generators_are_irredundant(case):
+    ctx, gens = case
+    kept = gls._pruned(gens, ctx)
+    monos = [next(iter(p.terms)) for p in kept if len(p.terms) == 1]
+    for i, p in enumerate(kept):
+        assert not any(monomial_multiple(p, q) for j, q in enumerate(kept) if j != i)
+        if len(p.terms) > 1:
+            assert not all(any(all(x <= y for x, y in zip(m, e)) for m in monos)
+                           for e in p.terms)
+
+
+def test_pruning_examples(F3, QQ):
+    for F in (F3, QQ):
+        ctx = ctx_of(F, 2, 6)
+        gens = [mk(F, t) for t in ("x*y^3", "2*y^3", "y^3", "x^2 + y", "x^3 + x*y",
+                                   "x^2*y + y^2", "x*y^3 + y^4", "x^7 + y^5")]
+        # 2*y^3 before its scalar multiple y^3 (equal order keeps list order),
+        # x^3 + x*y = x (x^2 + y), x^2 y + y^2 = y (x^2 + y), the monomial
+        # ideal (y^3) holds x y^3 + y^4, and x^7 + y^5 truncates to y^5
+        assert [poly_str(p) for p in gls._pruned(gens, ctx)] == ["y + x^2", "2*y^3"]
+
+
+def test_pruning_cuts_the_rows_of_the_saturated_level_ideal(monkeypatch):
+    # the level-3 ideal of this pin's saturation stacks 939 products, 34,293
+    # rows, before pruning
+    spec = parse_spec(PINNED_REPORTS["gf3_d3_D12"][0])
+    opts = spec.options
+    F0 = FiltrationSpec(spec.context(), spec.gens)
+    Fb, _ = b_saturate_probe(F0, RadicalProbeBounds(opts.radical_n_max, opts.radical_grid),
+                             opts.candidates)
+    ctx = Fb.ctx
+    prods = Fb._minimal_products(Fraction(3))
+    stacked = sum(len(multiples(g, ctx)) for g in prods)
+    handed = []
+    rref = gls._rref
+
+    def counting_rref(field, rows):
+        handed.append(len(rows))
+        return rref(field, rows)
+
+    monkeypatch.setattr(gls, "_rref", counting_rref)
+    got = ideal_image(prods, ctx)
+    assert len(handed) == 1 and 10 * handed[0] <= stacked
+    monkeypatch.undo()
+    assert got.equals(unpruned(prods, ctx))
