@@ -31,17 +31,9 @@ def hasse_apply(f: Poly, J) -> Poly:
     out = {}
     for I, c in f.terms.items():
         b = binom_multi(I, J)
-        if b == 0:
-            continue
-        coeff = F.mul(c, F.from_int(b))
-        if F.is_zero(coeff):
-            continue
-        e = mi_sub(I, J)
-        s = F.add(out.get(e, F.zero()), coeff)
-        if F.is_zero(s):
-            out.pop(e, None)
-        else:
-            out[e] = s
+        if b:
+            # I -> I - J is injective, so every key is written once
+            out[mi_sub(I, J)] = F.mul(c, F.from_int(b))
     return Poly(F, f.nvars, out)
 
 

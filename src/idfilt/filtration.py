@@ -26,9 +26,9 @@ from .values import SatValue, sat_min
 class FiltrationSpec:
     """Finite generator presentation of an idealistic filtration."""
 
-    __slots__ = ("ctx", "gens", "d_saturated", "_level_cache")
+    __slots__ = ("ctx", "gens", "_level_cache")
 
-    def __init__(self, ctx: TruncationContext, gens, d_saturated: bool = False):
+    def __init__(self, ctx: TruncationContext, gens):
         clean = []
         seen = set()
         for f, a in gens:
@@ -45,7 +45,6 @@ class FiltrationSpec:
         clean.sort(key=lambda fa: (fa[1], fa[0].sort_key()))
         self.ctx = ctx
         self.gens = tuple(clean)
-        self.d_saturated = d_saturated
         self._level_cache = {}
 
     # presentation ---------------------------------------------------------

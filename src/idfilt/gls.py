@@ -67,8 +67,7 @@ def monomial_basis(nvars: int, D: int):
     """All exponent tuples of degree <= D in graded-lex column order."""
     mons = [()]
     for _ in range(nvars):
-        mons = [m + (e,) for m in mons for e in range(D + 1)]
-    mons = [m for m in mons if sum(m) <= D]
+        mons = [m + (e,) for m in mons for e in range(D + 1 - sum(m))]
     mons.sort(key=grlex_key)
     index = {m: i for i, m in enumerate(mons)}
     degree_of = tuple(sum(m) for m in mons)

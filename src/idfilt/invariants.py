@@ -50,15 +50,15 @@ class HSystem:
 
     Conditions checked at construction: ord(h_l) equals p^e_l, the initial
     form is the p^e_l-th power of a linear form, and those root forms are
-    linearly independent.  Whether the initial forms also span every pure
-    part (the full leading-generator-system condition) is recorded in
-    spanning_checked, not re-derived here.
+    linearly independent.  The last check falls out of the one elimination
+    that picks the normalizing coordinates.  Whether the initial forms also
+    span every pure part (the full leading-generator-system condition) is
+    not checked here.
     """
 
-    __slots__ = ("ctx", "entries", "roots", "normalized", "spanning_checked",
-                 "_filtration")
+    __slots__ = ("ctx", "entries", "roots", "normalized", "_filtration")
 
-    def __init__(self, ctx: TruncationContext, entries, spanning_checked=False):
+    def __init__(self, ctx: TruncationContext, entries):
         entries = sorted(entries, key=lambda he: he[1])
         p = ctx.field.char
         roots = []
@@ -73,42 +73,42 @@ class HSystem:
             if v is None or v.degree() != 1 or not v.graded_component(0).is_zero():
                 raise ValueError("initial form is not a pure power of a linear form")
             roots.append(v)
-        if roots:
-            span = GradedSubspace.from_polys(ctx, roots)
-            if span.dim != len(roots):
-                raise ValueError("initial-form roots are linearly dependent")
         self.ctx = ctx
         self.entries = tuple((h, e) for h, e in entries)
         self.roots = tuple(roots)
-        self.spanning_checked = spanning_checked
         self.normalized = self._normalize()
         self._filtration = None
 
     @staticmethod
     def from_lgs(ctx: TruncationContext, lgs: LGS) -> "HSystem":
-        return HSystem(ctx, list(lgs.entries), spanning_checked=True)
+        return HSystem(ctx, list(lgs.entries))
 
     # --- normalizing coordinates -------------------------------------------
 
     def _coords_matrix(self):
-        """Rows: root forms extended to a basis by greedy unit vectors."""
-        ctx = self.ctx
-        F = ctx.field
-        d = ctx.nvars
+        """Rows: root forms extended to a basis by greedy unit vectors.
+
+        One elimination of the d x (k+d) matrix whose columns are the k
+        roots, then the d unit vectors: its pivot columns past k are the
+        unit vectors that the greedy order would pick, and a non-pivot among
+        the first k columns means the roots are dependent.
+        """
+        F = self.ctx.field
+        d, k = self.ctx.nvars, len(self.roots)
+
+        def unit(i):
+            return [F.one() if j == i else F.zero() for j in range(d)]
+
         rows = []
         for v in self.roots:
             row = [F.zero()] * d
             for exps, c in v.terms.items():
                 row[exps.index(1)] = c
             rows.append(row)
-        for i in range(d):
-            if len(rows) == d:
-                break
-            unit = [F.one() if j == i else F.zero() for j in range(d)]
-            _, piv = rref(F, rows + [unit])
-            if len(piv) == len(rows) + 1:
-                rows.append(unit)
-        return rows
+        _, piv = rref(F, [[r[i] for r in rows] + unit(i) for i in range(d)])
+        if piv[:k] != list(range(k)):
+            raise ValueError("initial-form roots are linearly dependent")
+        return rows + [unit(c - k) for c in piv[k:]]
 
     def _normalize(self):
         """Entries rewritten in coordinates where h_l = z_l^(p^e_l) + h.o.t."""
@@ -165,9 +165,8 @@ class HSystem:
 
     def to_json(self):
         from .poly import poly_str
-        p = self.ctx.field.char
-        return [{"h": poly_str(h), "e": e, "level": p ** e if p else 1}
-                for h, e in self.entries]
+        return [{"h": poly_str(h), "e": e, "level": self.level(l)}
+                for l, (h, e) in enumerate(self.entries)]
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +231,7 @@ def du_matrix(H: HSystem):
     coordinates; its constant part is the identity by construction."""
     from .diffop import hasse_apply
     ctx = H.ctx
-    p = ctx.field.char
-    e = H.e_min
-    q = p ** e if p else 1
+    q = H.level(0)
     L = H.min_block
     M = []
     for i in range(L):
@@ -257,8 +254,7 @@ def build_Du(H: HSystem, u: int) -> DiffOp:
     bound = H.u_bound()
     if bound is not None and u >= bound:
         raise ValueError("u out of range for this system")
-    p = ctx.field.char
-    q = p ** H.e_min if p else 1
+    q = H.level(0)
     L = H.min_block
     C = _inverse_matrix_trunc(H, du_matrix(H))
     last = C[L - 1]
@@ -310,8 +306,7 @@ def supporting1_check(H: HSystem, beta: Poly, l: int, u: int, r: int) -> bool:
         raise ValueError("u out of range for this system")
     if beta.order() < r:
         raise ValueError("beta must lie in m^r")
-    p = ctx.field.char
-    q = p ** H.e_min if p else 1
+    q = H.level(0)
     hl = H.normalized[l]
     Du = build_Du(H, u)
     Dum1 = build_Du(H, u - 1)
@@ -329,8 +324,7 @@ def supporting2_check(H: HSystem, alpha: Poly, betas, v: int, s: int) -> bool:
     beta_L == F_v alpha + (-1)^v h_L^v D_v beta_L + sum_{l != L} (F_v beta_l) h_l
     modulo m^(s - p^e + 1); everything in normalized coordinates."""
     ctx = H.ctx
-    p = ctx.field.char
-    q = p ** H.e_min if p else 1
+    q = H.level(0)
     bound = H.u_bound()
     if v < 1 or (bound is not None and v >= bound):
         raise ValueError("v out of range for this system")

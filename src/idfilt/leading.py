@@ -130,9 +130,6 @@ class LGS:
     def __len__(self):
         return len(self.entries)
 
-    def levels(self, p: int):
-        return [p ** e if p else 1 for _, e in self.entries]
-
 
 @dataclass(frozen=True)
 class SigmaSeq:

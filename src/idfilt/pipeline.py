@@ -108,8 +108,7 @@ def analyze(spec: SpecFile) -> dict:
 
     checks = {}
     if H.entries:
-        p = ctx.field.char
-        r = min((p ** H.entries[-1][1] if p else 1) + 1, ctx.D)
+        r = min(H.level(-1) + 1, ctx.D)
         checks["supporting3"] = {"r": r, "ok": supporting3_check(H, r)}
         try:
             mu = coefficient_default_mu(Fb, H, bounds.grid)

@@ -8,6 +8,11 @@ quotient equals the image of the plain polynomial ideal, so no local term
 orders or division algorithms are ever needed; truncated multiplication and
 exact linear algebra carry everything.
 
+The constructor is the one place that drops zero coefficients, so the
+arithmetic loops accumulate without testing for zero.  mul_trunc is the one
+product loop (the full product and the monomial shift are truncated products
+at D = inf or D) and pow_trunc the one square-and-multiply.
+
 Polynomials are immutable after construction; all operations return fresh
 values and are safe to share across threads.
 """
@@ -138,11 +143,7 @@ class Poly:
         F = self.field
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = F.add(out.get(e, F.zero()), c)
-            if F.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
+            out[e] = F.add(out[e], c) if e in out else c
         return Poly(F, self.nvars, out)
 
     def __neg__(self) -> "Poly":
@@ -154,66 +155,37 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         F = self.field
-        if F.is_zero(c):
-            return Poly.zero(F, self.nvars)
         return Poly(F, self.nvars, {e: F.mul(c, v) for e, v in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        F = self.field
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = mi_add(e1, e2)
-                s = F.add(out.get(e, F.zero()), F.mul(c1, c2))
-                if F.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Poly(F, self.nvars, out)
+        return self.mul_trunc(other, math.inf)
 
-    def mul_trunc(self, other: "Poly", D: int) -> "Poly":
+    def mul_trunc(self, other: "Poly", D) -> "Poly":
         """Product with every term of total degree > D discarded."""
         self._check(other)
         F = self.field
+        right = [(e2, c2, sum(e2)) for e2, c2 in other.terms.items()]
         out = {}
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > D:
+            room = D - sum(e1)
+            for e2, c2, d2 in right:
+                if d2 > room:
                     continue
                 e = mi_add(e1, e2)
-                s = F.add(out.get(e, F.zero()), F.mul(c1, c2))
-                if F.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                c = F.mul(c1, c2)
+                out[e] = F.add(out[e], c) if e in out else c
         return Poly(F, self.nvars, out)
 
     def shift(self, exps, D=None) -> "Poly":
         """Multiply by the monomial X^exps, optionally truncating at D."""
-        F = self.field
-        out = {}
-        s = sum(exps)
-        for e, c in self.terms.items():
-            if D is not None and sum(e) + s > D:
-                continue
-            out[mi_add(e, exps)] = c
-        return Poly(F, self.nvars, out)
+        mono = Poly.monomial(self.field, self.nvars, exps)
+        return self.mul_trunc(mono, math.inf if D is None else D)
 
     def pow(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
-        out = Poly.one(self.field, self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return self.pow_trunc(n, math.inf)
 
-    def pow_trunc(self, n: int, D: int) -> "Poly":
+    def pow_trunc(self, n: int, D) -> "Poly":
+        """self^n with every term of total degree > D discarded."""
         if n < 0:
             raise ValueError("negative power")
         out = Poly.one(self.field, self.nvars)
@@ -249,10 +221,8 @@ class Poly:
     def substitute_linear(self, matrix) -> "Poly":
         """Replace x_i by sum_j matrix[i][j] x_j (an invertible linear change)."""
         F, d = self.field, self.nvars
-        lin = []
-        for i in range(d):
-            lin.append(Poly(F, d, {tuple(1 if k == j else 0 for k in range(d)): matrix[i][j]
-                                   for j in range(d) if not F.is_zero(matrix[i][j])}))
+        lin = [Poly(F, d, {tuple(1 if k == j else 0 for k in range(d)): matrix[i][j]
+                           for j in range(d)}) for i in range(d)]
         cache = [{0: Poly.one(F, d)} for _ in range(d)]
 
         def var_pow(i, n):

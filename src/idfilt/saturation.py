@@ -88,7 +88,7 @@ def d_saturate(F: FiltrationSpec) -> FiltrationSpec:
     derivatives landing at level <= 0 are trivial and dropped.
     """
     gens = _derivative_gens(F, lambda f, J: hasse_apply(f, J))
-    return FiltrationSpec(F.ctx, gens, d_saturated=True)
+    return FiltrationSpec(F.ctx, gens)
 
 
 def d_saturate_log(F: FiltrationSpec) -> FiltrationSpec:
@@ -97,7 +97,7 @@ def d_saturate_log(F: FiltrationSpec) -> FiltrationSpec:
     if not ctx.boundary:
         return d_saturate(F)
     gens = _derivative_gens(F, lambda f, J: log_apply(f, J, ctx))
-    return FiltrationSpec(ctx, gens, d_saturated=True)
+    return FiltrationSpec(ctx, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ def b_saturate_probe(F: FiltrationSpec, bounds: RadicalProbeBounds = RadicalProb
 
     Returns (saturated FiltrationSpec, list of (poly, level, witness_n)).
     """
-    sat = d_saturate_log(F) if F.ctx.boundary else d_saturate(F)
+    sat = d_saturate_log(F)
     roots = _root_candidates(sat)
     pool = list(roots) + _theta_candidates(sat, roots) + \
         [(g, Fraction(a)) for g, a in candidates]
@@ -321,5 +321,5 @@ def b_saturate_probe(F: FiltrationSpec, bounds: RadicalProbeBounds = RadicalProb
     if not added:
         return sat, []
     enriched = FiltrationSpec(F.ctx, list(sat.gens) + [(g, a) for g, a, _ in added])
-    closed = d_saturate_log(enriched) if F.ctx.boundary else d_saturate(enriched)
+    closed = d_saturate_log(enriched)
     return closed, added

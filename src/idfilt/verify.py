@@ -785,7 +785,7 @@ def suite_sigma_mu(rng) -> SuiteResult:
             swapped = FiltrationSpec(
                 spec.ctx,
                 [(Poly(F, 2, {(e[1], e[0]): c for e, c in f.terms.items()}), a)
-                 for f, a in spec.gens], d_saturated=True)
+                 for f, a in spec.gens])
             lgs2, _, _ = extract_lgs(swapped)
             if not lgs2.entries:
                 res.instances += 1

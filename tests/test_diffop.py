@@ -1,9 +1,14 @@
+from fractions import Fraction
+from math import factorial
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from idfilt.diffop import (DiffOp, compose, hasse_apply, ideal_order,
                            is_pe_power_generated, log_apply,
                            pe_power_precision_ok, product_rule_check)
-from idfilt.fields import FieldError, PrimeField
+from idfilt.fields import ExtensionField, FieldError, PrimeField, RationalField
 from idfilt.gls import ideal_image, membership, monomial_basis
 from idfilt.poly import Poly, poly_str
 from tests.conftest import ctx_of, mk
@@ -135,3 +140,57 @@ def test_frobenius_power_identity(rng, F2, F3):
             K = (rng.randint(0, 2), rng.randint(0, 1))
             lhs = hasse_apply(h.pow(p ** e), tuple(p ** e * k for k in K))
             assert lhs == hasse_apply(h, K).pow(p ** e)
+
+
+# hasse_apply against the per-term formula d_{X^J}(X^I) = C(I, J) X^(I-J),
+# with the binomials from factorials and the field reached through from_int.
+
+HASSE_FIELDS = [PrimeField(2), PrimeField(3), ExtensionField(3, 2), RationalField()]
+
+
+def ref_hasse(f, J):
+    F = f.field
+    out = {}
+    for I, c in f.terms.items():
+        if all(i >= j for i, j in zip(I, J)):
+            b = 1
+            for i, j in zip(I, J):
+                b *= factorial(i) // (factorial(j) * factorial(i - j))
+            out[tuple(i - j for i, j in zip(I, J))] = F.mul(c, F.from_int(b))
+    return {e: c for e, c in out.items() if not F.is_zero(c)}
+
+
+def assert_hasse(f, J):
+    out = hasse_apply(f, J)
+    assert out.terms == ref_hasse(f, J)
+    assert not any(f.field.is_zero(c) for c in out.terms.values())
+
+
+@st.composite
+def poly_and_index(draw):
+    F = draw(st.sampled_from(HASSE_FIELDS))
+    scalar = (st.sampled_from(F.elements()) if F.char
+              else st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+    exps = st.tuples(st.integers(0, 7), st.integers(0, 7))
+    f = Poly(F, 2, draw(st.dictionaries(exps, scalar, max_size=6)))
+    return f, draw(st.tuples(st.integers(0, 4), st.integers(0, 4)))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(poly_and_index())
+def test_hasse_apply_matches_binomial_formula(fJ):
+    assert_hasse(*fJ)
+
+
+@pytest.mark.parametrize("F", HASSE_FIELDS, ids=str)
+def test_hasse_apply_multi_term_with_vanishing_binomials(F):
+    # over GF(3): C(3,1) = 3 and C(6,3) = 20 = 2, C(4,1) = 4 = 1, C(5,2) = 10 = 1,
+    # C(3,3) = 1; over GF(2) C(2,1), C(6,1) and C(4,1) vanish
+    f = mk(F, "x^3 + x^4*y + x^2 + x^6*y^3 + y^5 + 1")
+    for J in ((1, 0), (2, 0), (3, 0), (1, 1), (0, 2), (3, 3), (0, 0), (7, 0)):
+        assert_hasse(f, J)
+    if F.char == 3:
+        assert hasse_apply(f, (1, 0)) == mk(F, "x^3*y + 2*x")
+    if F.char == 2:
+        assert hasse_apply(mk(F, "x^2 + x^6*y + x^4*y^2"), (1, 0)).is_zero()

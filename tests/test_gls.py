@@ -1,3 +1,6 @@
+from itertools import product
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -161,3 +164,16 @@ def test_vec_to_poly_round_trip(name, request):
     g = vec_to_poly(poly_to_vec(f, ctx), ctx)
     assert g == f and list(g.terms) == sorted(f.terms, key=grlex_key)
     assert vec_to_poly(poly_to_vec(Poly.zero(F, 2), ctx), ctx).is_zero()
+
+
+def test_monomial_basis_matches_filtered_product():
+    for d in range(1, 5):
+        for D in range(7):
+            want = sorted((m for m in product(range(D + 1), repeat=d) if sum(m) <= D),
+                          key=grlex_key)
+            mons, index, degree_of = monomial_basis(d, D)
+            assert list(mons) == want
+            assert index == {m: i for i, m in enumerate(want)}
+            assert degree_of == tuple(sum(m) for m in want)
+    for d, D in ((6, 10), (5, 13)):
+        assert len(monomial_basis(d, D)[0]) == comb(D + d, d)

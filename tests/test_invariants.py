@@ -39,6 +39,22 @@ def test_hsystem_validation(F2, QQ):
         HSystem(ctx_of(QQ, 2, 10), [(mk(QQ, "x^2"), 1)])  # char 0, e > 0
 
 
+def test_hsystem_dependent_roots(F2, QQ):
+    for F in (F2, QQ):
+        ctx = ctx_of(F, 2, 10)
+        with pytest.raises(ValueError, match="initial-form roots are linearly dependent"):
+            HSystem(ctx, [(mk(F, "x"), 0), (mk(F, "x + y^2"), 0)])
+
+
+def test_hsystem_coords_complete_roots_greedily(F3):
+    # root x + y: e_x completes it, e_y is then dependent, e_z completes it
+    ctx = ctx_of(F3, 3, 6)
+    H = HSystem(ctx, [(mk(F3, "x + y", ("x", "y", "z")), 0)])
+    assert H._coords_matrix() == [[1, 1, 0], [1, 0, 0], [0, 0, 1]]
+    H = HSystem(ctx, [(mk(F3, "y^3 + z^4", ("x", "y", "z")), 1)])
+    assert H._coords_matrix() == [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+
+
 def test_ord_h_examples(F2):
     ctx = ctx_of(F2, 2, 10)
     H = HSystem(ctx, [(mk(F2, "x^2 + y^3"), 1)])

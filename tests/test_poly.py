@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from idfilt.fields import FieldError
+from idfilt.fields import ExtensionField, FieldError, PrimeField, RationalField
 from idfilt.poly import (Poly, PolyParseError, TruncationContext, parse_poly,
                          poly_str)
 from tests.conftest import mk
@@ -131,3 +133,108 @@ def test_substitute_linear(QQ):
     m = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
     g = f.substitute_linear(m)
     assert g == mk(QQ, "x^2 + 2*x*y + y^2 + y")
+
+
+# Arithmetic against a schoolbook reference on the Field interface.  The
+# reference works on plain term dicts and drops zero sums only at the end.
+
+ARITH_FIELDS = [PrimeField(2), PrimeField(3), ExtensionField(3, 2), RationalField()]
+ORACLE = settings(max_examples=60, derandomize=True, database=None, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+
+
+def ref_clean(F, terms):
+    return {e: c for e, c in terms.items() if not F.is_zero(c)}
+
+
+def ref_add(F, a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = F.add(out.get(e, F.zero()), c)
+    return ref_clean(F, out)
+
+
+def ref_mul(F, a, b, D=math.inf):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if sum(e) <= D:
+                out[e] = F.add(out.get(e, F.zero()), F.mul(c1, c2))
+    return ref_clean(F, out)
+
+
+def ref_pow(F, a, n, nvars, D=math.inf):
+    out = {(0,) * nvars: F.one()}
+    for _ in range(n):
+        out = ref_mul(F, out, a, D)
+    return out
+
+
+def assert_same(f, want):
+    assert f.terms == want
+    assert not any(f.field.is_zero(c) for c in f.terms.values())
+
+
+def scalars(F):
+    if F.char:
+        return st.sampled_from(F.elements())
+    return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def poly_pairs(draw):
+    F = draw(st.sampled_from(ARITH_FIELDS))
+    exps = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+    def poly():
+        return Poly(F, 2, draw(st.dictionaries(exps, scalars(F), max_size=5)))
+    return F, poly(), poly()
+
+
+@ORACLE
+@given(poly_pairs(), st.integers(0, 9))
+def test_products_match_schoolbook(fg, D):
+    F, f, g = fg
+    assert_same(f * g, ref_mul(F, f.terms, g.terms))
+    assert_same(f.mul_trunc(g, D), ref_mul(F, f.terms, g.terms, D))
+    assert_same(f * (-f), ref_mul(F, f.terms, (-f).terms))
+
+
+@ORACLE
+@given(poly_pairs(), st.integers(0, 4), st.integers(0, 9))
+def test_powers_match_schoolbook(fg, n, D):
+    F, f, _ = fg
+    assert_same(f.pow(n), ref_pow(F, f.terms, n, 2))
+    assert_same(f.pow_trunc(n, D), ref_pow(F, f.terms, n, 2, D))
+
+
+@ORACLE
+@given(poly_pairs(), st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(0, 9))
+def test_sums_shifts_and_scales_match_schoolbook(fg, E, D):
+    F, f, g = fg
+    assert_same(f + g, ref_add(F, f.terms, g.terms))
+    assert_same(f + (-f), {})
+    assert_same(f - g + g, f.terms)
+    assert_same(f.shift(E), ref_mul(F, f.terms, {E: F.one()}))
+    assert_same(f.shift(E, D), ref_mul(F, f.terms, {E: F.one()}, D))
+    assert_same(f.scale(F.zero()), {})
+    assert_same(f.scale(F.neg(F.one())), (-f).terms)
+
+
+@pytest.mark.parametrize("F", ARITH_FIELDS, ids=str)
+def test_cancelling_products(F):
+    x, y = Poly.variable(F, 2, 0), Poly.variable(F, 2, 1)
+    want = (x * x - y * y).terms
+    assert_same((x + y) * (x - y), want)
+    assert_same((x + y).mul_trunc(x - y, 2), want)
+    assert_same((x + y).mul_trunc(x - y, 1), {})
+    f = x + y * y + Poly.one(F, 2)
+    assert_same(f + (-f), {})
+    if F.char:
+        # the Frobenius: (x + 1)^p = x^p + 1, every middle binomial vanishes
+        p = F.char
+        want = {(p, 0): F.one(), (0, 0): F.one()}
+        assert_same((x + Poly.one(F, 2)).pow(p), want)
+        assert_same((x + Poly.one(F, 2)).pow_trunc(p, p), want)
+        assert_same((x + Poly.one(F, 2)).pow_trunc(p, p - 1), {(0, 0): F.one()})
