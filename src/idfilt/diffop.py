@@ -58,7 +58,7 @@ def sub_multiindices(J):
 
 
 class DiffOp:
-    """Finite sum of coefficient * d_{X^J}, optionally logarithmic."""
+    """Finite sum of coefficient * d_{X^J}."""
 
     __slots__ = ("ctx", "summands")
 
@@ -78,12 +78,6 @@ class DiffOp:
     @staticmethod
     def hasse(ctx, J) -> "DiffOp":
         return DiffOp(ctx, [(Poly.one(ctx.field, ctx.nvars), tuple(J))])
-
-    @staticmethod
-    def logarithmic(ctx, J) -> "DiffOp":
-        J = tuple(J)
-        mono = Poly.monomial(ctx.field, ctx.nvars, boundary_part(J, ctx))
-        return DiffOp(ctx, [(mono, J)])
 
     @staticmethod
     def identity(ctx) -> "DiffOp":

@@ -140,6 +140,13 @@ def rref(field, rows):
     return red.tolist(), piv
 
 
+def greedy_independent(field, vecs):
+    """Indices of the vectors that the greedy order keeps, each independent
+    of those kept before it: the pivot columns of one elimination of the
+    matrix whose columns are the vectors."""
+    return rref(field, list(zip(*vecs)))[1]
+
+
 def poly_to_vec(f: Poly, ctx: TruncationContext):
     mons, index, _ = monomial_basis(ctx.nvars, ctx.D)
     v = _matrix(ctx.field, len(mons))
@@ -234,13 +241,16 @@ class GradedSubspace:
         k = bisect_left(self.pivots, n, key=degree_of.__getitem__)
         return GradedSubspace(self.ctx, self.rows[k:], self.pivots[k:])
 
-    def graded_slice(self, n: int):
-        """Basis of the image of S `intersect` m^n in G_n, as homogeneous polys."""
-        out = []
-        for i, d in enumerate(self.pivot_degrees()):
-            if d == n:
-                out.append(vec_to_poly(self.rows[i], self.ctx).graded_component(n))
-        return out
+    def graded_slice(self, n: int) -> "GradedSubspace":
+        """Image of S `intersect` m^n in G_n: the rows of pivot degree n cut
+        to their degree-n columns, a column range that holds those pivots,
+        so the cut rows are already canonical."""
+        _, _, degree_of = monomial_basis(self.ctx.nvars, self.ctx.D)
+        lo, hi = bisect_left(degree_of, n), bisect_right(degree_of, n)
+        i, j = bisect_left(self.pivots, lo), bisect_left(self.pivots, hi)
+        rows = _matrix(self.ctx.field, (j - i, len(degree_of)))
+        rows[:, lo:hi] = self.rows[i:j, lo:hi]
+        return GradedSubspace(self.ctx, rows, self.pivots[i:j])
 
     def slice_dims(self):
         dims = [0] * (self.ctx.D + 1)
@@ -263,7 +273,9 @@ class GradedSubspace:
         return GradedSubspace(self.ctx, rows, piv)
 
     def intersect(self, other: "GradedSubspace") -> "GradedSubspace":
-        """Zassenhaus: reduce [[A A],[B 0]]; zero-left rows carry the meet."""
+        """Zassenhaus: reduce [[A A],[B 0]]; the rows with a pivot in the
+        right half vanish on the left one, and their right halves are the
+        canonical basis of the meet."""
         self._check_ctx(other)
         ctx = self.ctx
         if self.dim == 0 or other.dim == 0:
@@ -275,29 +287,28 @@ class GradedSubspace:
         block[:a, :N] = self.rows
         block[:a, N:] = self.rows
         block[a:, :N] = other.rows
-        red, _ = _rref(F, block)
-        keep = [r[N:] for r in red if not r[:N].any()]
-        return GradedSubspace.from_vectors(ctx, keep)
+        red, piv = _rref(F, block)
+        k = bisect_left(piv, N)  # a copy, so the 2N-wide block can be freed
+        return GradedSubspace(ctx, red[k:, N:].copy(), [c - N for c in piv[k:]])
 
     def coordinate_section(self, keep_columns) -> "GradedSubspace":
         """Subspace of vectors supported only on the given columns.
 
         Columns outside keep_columns are moved first, so echelon rows whose
-        pivot lands in the kept block vanish on the rest.
+        pivot lands in the kept block vanish on the rest.  The kept block
+        keeps its column order, so those rows, moved back, are canonical.
         """
-        ctx = self.ctx
-        N = len(monomial_basis(ctx.nvars, ctx.D)[0])
-        keep = sorted(keep_columns)
-        other = [c for c in range(N) if c not in set(keep)]
-        perm = other + keep
-        cut = len(other)
         if self.dim == 0:
             return self
+        ctx = self.ctx
+        N = len(monomial_basis(ctx.nvars, ctx.D)[0])
+        kept = set(keep_columns)
+        perm = sorted(range(N), key=kept.__contains__)  # stable: others, then kept
         red, piv = _rref(ctx.field, self.rows[:, perm])
-        sel = [i for i, c in enumerate(piv) if c >= cut]
-        back = _matrix(ctx.field, (len(sel), N))
-        back[:, perm] = red[sel]
-        return GradedSubspace.from_vectors(ctx, back)
+        k = bisect_left(piv, N - len(kept))
+        back = _matrix(ctx.field, (len(piv) - k, N))
+        back[:, perm] = red[k:]
+        return GradedSubspace(ctx, back, [perm[c] for c in piv[k:]])
 
     def dump(self) -> str:
         """One line per basis vector, graded-lex sorted."""

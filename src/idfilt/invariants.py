@@ -29,8 +29,8 @@ import numpy as np
 
 from .diffop import DiffOp
 from .filtration import FiltrationSpec
-from .gls import GradedSubspace, monomial_basis, multiples, poly_to_vec, rref
-from .leading import LGS
+from .gls import GradedSubspace, greedy_independent, monomial_basis, multiples, poly_to_vec, rref
+from .leading import LGS, linear_coefficients
 from .poly import Poly, TruncationContext
 from .values import SatValue, sat_min
 
@@ -88,27 +88,18 @@ class HSystem:
     def _coords_matrix(self):
         """Rows: root forms extended to a basis by greedy unit vectors.
 
-        One elimination of the d x (k+d) matrix whose columns are the k
-        roots, then the d unit vectors: its pivot columns past k are the
-        unit vectors that the greedy order would pick, and a non-pivot among
-        the first k columns means the roots are dependent.
+        One greedy pass over the k roots, then the d unit vectors: the unit
+        vectors it keeps complete the basis, and a root it skips means the
+        roots are dependent.
         """
         F = self.ctx.field
         d, k = self.ctx.nvars, len(self.roots)
-
-        def unit(i):
-            return [F.one() if j == i else F.zero() for j in range(d)]
-
-        rows = []
-        for v in self.roots:
-            row = [F.zero()] * d
-            for exps, c in v.terms.items():
-                row[exps.index(1)] = c
-            rows.append(row)
-        _, piv = rref(F, [[r[i] for r in rows] + unit(i) for i in range(d)])
-        if piv[:k] != list(range(k)):
+        rows = [linear_coefficients(v) for v in self.roots]
+        units = [[F.one() if j == i else F.zero() for j in range(d)] for i in range(d)]
+        keep = greedy_independent(F, rows + units)
+        if keep[:k] != list(range(k)):
             raise ValueError("initial-form roots are linearly dependent")
-        return rows + [unit(c - k) for c in piv[k:]]
+        return rows + [units[c - k] for c in keep[k:]]
 
     def _normalize(self):
         """Entries rewritten in coordinates where h_l = z_l^(p^e_l) + h.o.t."""
@@ -469,12 +460,10 @@ def nonsingularity_check(F: FiltrationSpec, H: HSystem,
                           "diagnosis": diagnosis},
         "support": {"origin_in_support": in_supp, "origin_on_vh": on_vh,
                     "ok": in_supp == on_vh},
-        "lgs_linear_forms_independent": None,
+        # at level one the roots are the linear parts, and HSystem refuses
+        # dependent roots
+        "lgs_linear_forms_independent": True if not bad and H.entries else None,
     }
-    if not bad and H.entries:
-        lin = [h.graded_component(1) for h, _ in H.entries]
-        span = GradedSubspace.from_polys(ctx, lin)
-        report["lgs_linear_forms_independent"] = span.dim == len(H.entries)
     report["passed"] = bool(report["generated_by_h"]["ok"]
                             and report["all_level_one"]["ok"]
                             and report["support"]["ok"])

@@ -9,10 +9,15 @@ characteristic zero it reduces to a basis of the degree-one part (the
 classical maximal-contact data), while in characteristic p the degree-one
 part may vanish and higher Frobenius levels take over.
 
-Root coordinates make everything plain linear algebra in G_1: taking p^e-th
+Root coordinates make everything plain linear algebra in F^d: taking p^e-th
 roots identifies the pure part at level e with a subspace U_e of the span
-of the variables, and the chain of pure parts becomes a chain of subspaces
-U_0 <= U_1 <= ... whose growth the extraction walks deterministically.
+of the variables, and a root is its d-vector of coefficients.  The chain
+U_0 <= U_1 <= ... is then read by one elimination of d-column rows per
+level: it grows the chosen roots to a basis of U_e in greedy order, and its
+rank shows whether the earlier roots stay inside U_e.  Each new initial
+form w is lifted to the element w - (residue of w) of the level ideal; its
+canonical basis is reduced, so that difference is the unique combination
+of its rows with initial form w.
 
 The leading algebra is not stored: LeadingAlgebra reads each graded piece
 from the filtration's cached level ideal when asked, and the extraction
@@ -27,15 +32,15 @@ from dataclasses import dataclass
 
 from .fields import FieldError
 from .filtration import FiltrationSpec
-from .gls import GradedSubspace, monomial_basis, vec_to_poly
+from .gls import GradedSubspace, greedy_independent, monomial_basis
 from .poly import Poly, TruncationContext
 
 
 class LeadingAlgebra:
     """The graded pieces L_n = in(I_n) in G_n, read from the level ideals.
 
-    A view, not a copy: component(n) slices the cached canonical echelon
-    basis of I_n, so only the degrees a caller reads are ever computed.
+    A view, not a copy: piece(n) slices the cached canonical echelon basis
+    of I_n, so only the degrees a caller reads are ever computed.
     """
 
     __slots__ = ("F",)
@@ -47,12 +52,16 @@ class LeadingAlgebra:
     def ctx(self) -> TruncationContext:
         return self.F.ctx
 
-    def component(self, n: int):
-        """Homogeneous basis of L_n; L_0 = [1] since I_0 is the whole ring."""
+    def piece(self, n: int) -> GradedSubspace:
+        """Canonical basis of L_n, a subspace of the degree-n columns."""
         return self.F.ideal_at_level(n).graded_slice(n)
 
+    def component(self, n: int):
+        """Homogeneous basis of L_n; L_0 = [1] since I_0 is the whole ring."""
+        return self.piece(n).basis_polys()
+
     def dim(self, n: int) -> int:
-        return len(self.component(n))
+        return self.piece(n).dim
 
 
 def leading_algebra(F: FiltrationSpec) -> LeadingAlgebra:
@@ -64,13 +73,12 @@ def leading_algebra(F: FiltrationSpec) -> LeadingAlgebra:
     return LeadingAlgebra(F)
 
 
-def _pure_monomial_columns(ctx: TruncationContext, q: int):
-    _, index, _ = monomial_basis(ctx.nvars, ctx.D)
-    cols = []
-    for i in range(ctx.nvars):
-        exps = tuple(q if j == i else 0 for j in range(ctx.nvars))
-        cols.append(index[exps])
-    return cols
+def linear_coefficients(v: Poly):
+    """The d-vector of coefficients of the linear form v."""
+    row = [v.field.zero()] * v.nvars
+    for exps, c in v.terms.items():
+        row[exps.index(1)] = c
+    return row
 
 
 def pure_part(L: LeadingAlgebra, e: int):
@@ -91,18 +99,14 @@ def pure_part(L: LeadingAlgebra, e: int):
     q = p ** e
     if q > ctx.D:
         raise ValueError("p^e exceeds the truncation degree")
-    space = GradedSubspace.from_polys(ctx, L.component(q))
-    section = space.coordinate_section(_pure_monomial_columns(ctx, q))
-    basis = [f.graded_component(q) for f in section.basis_polys()]
+    _, index, _ = monomial_basis(ctx.nvars, ctx.D)
+    pure = [index[tuple(q if j == i else 0 for j in range(ctx.nvars))]
+            for i in range(ctx.nvars)]
+    basis = L.piece(q).coordinate_section(pure).basis_polys()
     F = ctx.field
-    roots = []
-    for w in basis:
-        terms = {}
-        for exps, c in w.terms.items():
-            i = next(k for k, x in enumerate(exps) if x)
-            lin = tuple(1 if k == i else 0 for k in range(ctx.nvars))
-            terms[lin] = F.frobenius_root(c, e)
-        roots.append(Poly(F, ctx.nvars, terms))
+    roots = [Poly(F, ctx.nvars, {tuple(x // q for x in exps): F.frobenius_root(c, e)
+                                 for exps, c in w.terms.items()})
+             for w in basis]
     return basis, roots
 
 
@@ -161,9 +165,9 @@ def extract_lgs(F: FiltrationSpec, E_max: int | None = None):
 
     Walks the pure parts by increasing Frobenius level; whenever the root
     space grows, the previously chosen roots are extended to a basis by
-    greedy graded-lex pivoting, and each new initial form is lifted to a
-    filtration element by back-substitution in the echelon basis of the
-    level ideal.  Returns (LGS, SigmaSeq, LeadingAlgebra).
+    greedy pivoting on coefficient vectors, and each new initial form is
+    lifted to a filtration element of the level ideal.  Returns (LGS,
+    SigmaSeq, LeadingAlgebra).
     """
     ctx = F.ctx
     p = ctx.field.char
@@ -173,58 +177,42 @@ def extract_lgs(F: FiltrationSpec, E_max: int | None = None):
         raise ValueError("p^E_max exceeds the truncation degree")
     L = leading_algebra(F)
 
-    chosen = []  # (root linear form, e)
+    chosen = []  # coefficient vectors of the chosen roots, independent
     entries = []
     prev_dim = None
     stabilized = False
     sigma_vals = []
     for e in range(E_max + 1):
-        basis, roots = pure_part(L, e)
-        dim_e = len(basis)
-        sigma_vals.append(ctx.nvars - dim_e)
-        u_span = GradedSubspace.from_polys(ctx, roots)
-        # chain inclusion: earlier roots must still be roots at this level
-        chain_ok = all(u_span.contains_poly(v) for v, _ in chosen)
-        span = GradedSubspace.from_polys(ctx, [v for v, _ in chosen])
-        grew = False
-        for v in roots:
-            if span.contains_poly(v):
-                continue
-            grew = True
-            chosen.append((v, e))
-            span = GradedSubspace.from_polys(ctx, [w for w, _ in chosen])
-            entries.append((_lift_initial_form(F, v, e), e))
+        _, roots = pure_part(L, e)
+        rows = [linear_coefficients(v) for v in roots]
+        sigma_vals.append(ctx.nvars - len(rows))
+        # the chosen roots are independent, so they are the first pivots
+        k = len(chosen)
+        new = greedy_independent(ctx.field, chosen + rows)[k:]
+        # chain inclusion: earlier roots must still be roots at this level,
+        # i.e. they add nothing to the span of the (independent) rows
+        chain_ok = k + len(new) == len(rows)
+        for i in new:
+            chosen.append(rows[i - k])
+            entries.append((_lift_initial_form(F, roots[i - k], e), e))
         # stabilized means chain equality at the last two computed levels
-        stabilized = (prev_dim is not None and chain_ok and not grew
-                      and dim_e == prev_dim)
-        prev_dim = dim_e
+        stabilized = (prev_dim is not None and chain_ok and not new
+                      and len(rows) == prev_dim)
+        prev_dim = len(rows)
     lgs = LGS(tuple(entries))
     sig = SigmaSeq(tuple(sigma_vals), ctx.nvars, stabilized)
     return lgs, sig, L
 
 
 def _lift_initial_form(F: FiltrationSpec, root: Poly, e: int) -> Poly:
-    """Unique echelon combination in the level ideal with the given initial
-    form root^(p^e)."""
-    ctx = F.ctx
-    p = ctx.field.char
+    """The element of the level ideal with initial form w = root^(p^e): w
+    minus its residue, which over the reduced basis is the combination of
+    the rows whose pivots w meets, at w's coefficients."""
+    p = F.ctx.field.char
     q = p ** e if p else 1
     w = root.pow(q) if q > 1 else root
-    S = F.ideal_at_level(q)
-    mons, _, _ = monomial_basis(ctx.nvars, ctx.D)
-    Fld = ctx.field
-    h = Poly.zero(Fld, ctx.nvars)
-    got = Poly.zero(Fld, ctx.nvars)
-    for i, dgt in enumerate(S.pivot_degrees()):
-        if dgt != q:
-            continue
-        c = w.terms.get(mons[S.pivots[i]])
-        if c is None or Fld.is_zero(c):
-            continue
-        row = vec_to_poly(S.rows[i], ctx)
-        h = h + row.scale(c)
-        got = got + row.graded_component(q).scale(c)
-    if got != w:
+    h = w - F.ideal_at_level(q).reduce_poly(w)
+    if h.graded_component(q) != w:
         raise RuntimeError("initial form is not realized by the level ideal")
     return h
 

@@ -81,6 +81,12 @@ def engine_basis(S):
     return S.rows.tolist(), list(S.pivots)
 
 
+def assert_canonical(S):
+    """S is already the canonical basis of its span: eliminating its own
+    rows again gives the same rows and pivots."""
+    assert engine_basis(GradedSubspace.from_vectors(S.ctx, S.rows.copy())) == engine_basis(S)
+
+
 # inputs ----------------------------------------------------------------------
 
 def scalars(F):
@@ -150,6 +156,7 @@ def test_sum_and_intersect(case):
     a, b = gauss_jordan(F, [as_vec(f, ctx) for f in ga]), gauss_jordan(F, [as_vec(f, ctx) for f in gb])
     assert engine_basis(A.sum_with(B)) == gauss_jordan(F, a[0] + b[0])
     assert engine_basis(A.intersect(B)) == meet(F, a, b)
+    assert_canonical(A.intersect(B))
 
 
 @ORACLE
@@ -160,6 +167,10 @@ def test_meet_power_m(case):
     for n in range(ctx.D + 2):
         want = gls.subspace_intersect(S, gls.power_m(n, ctx))
         assert engine_basis(S.meet_power_m(n)) == engine_basis(want)
+        G = S.graded_slice(n)
+        assert_canonical(G)
+        rows = [r for r, deg in zip(S.basis_polys(), S.pivot_degrees()) if deg == n]
+        assert G.basis_polys() == [f.graded_component(n) for f in rows]
 
 
 @ORACLE
@@ -189,6 +200,7 @@ def test_coordinate_section(case, data):
     coords = [[F.one() if j == c else F.zero() for j in range(N)] for c in sorted(keep)]
     want = meet(F, gauss_jordan(F, [as_vec(f, ctx) for f in gens]), (coords, sorted(keep)))
     assert engine_basis(S.coordinate_section(keep)) == want
+    assert_canonical(S.coordinate_section(keep))
 
 
 @ORACLE
