@@ -20,6 +20,21 @@ def test_mul_trunc_examples(QQ, F2):
     assert poly_str(one_x.mul_trunc(one_x, 1)) == "1 + 2*x"
 
 
+def test_mul_trunc_matches_truncated_product(rng, F3, QQ):
+    for F in (F3, QQ):
+        for _ in range(60):
+            def rnd():
+                t = {}
+                for _ in range(4):
+                    e = (rng.randint(0, 4), rng.randint(0, 4))
+                    t[e] = F.from_int(rng.randint(-3, 3))
+                return Poly(F, 2, t)
+            f, g = rnd(), rnd()
+            D = rng.randint(1, 6)
+            assert f.mul_trunc(g, D) == (f * g).truncate(D)
+            assert_same(f.mul_trunc(g, D), ref_mul(F, f.terms, g.terms, D))
+
+
 def test_order_examples(QQ):
     assert mk(QQ, "x^2 + y^3").order() == 2
     assert Poly.zero(QQ, 2).order() == math.inf
