@@ -1,11 +1,14 @@
 """Row reduction kernels over finite fields.
 
-This is the hot loop of the whole library: every ideal image, membership
-test, subspace sum and intersection over a finite field funnels into a
-reduced row echelon computation on an int64 matrix.  The kernels are
-vectorized numpy: each pivot step clears its column with one outer-product
-update.  One pivot loop serves every finite field; only the pivot scaling
-and the row update differ, and the field decides which runs:
+Over a finite field, every membership test ends in reduce_mod_p, and every
+elimination that gls._rref cannot finish by its singleton presolve ends in
+rref_mod_p on an int64 matrix; so does each prime of the multimodular
+elimination over QQ.  rref_mod_p sees only the residual block left once
+the unit rows are taken out, so the tall stacks of multiples X^A g reach
+it as small dense blocks.  The kernels are vectorized numpy: each pivot
+step clears its column with one outer-product update.  One pivot loop
+serves every finite field; only the pivot scaling and the row update
+differ, and the field decides which runs:
 
 * GF(p) (tables is None): entries in [0, p) with % p arithmetic.
   PrimeField rejects any p with (p-1)^2 + (p-1) >= 2^63, so int64 products

@@ -32,8 +32,8 @@ Every basis, over every field, is one 2-D numpy array: int64 over a finite
 field (residues in [0, p) over GF(p), the field's int codes in [0, q) over
 GF(p^m)) and an object array of Fractions over QQ.  Row selection, stacking,
 scattering and comparison are therefore one code path, and a zero test is
-`not v.any()` in both formats; only the private helpers _matrix, _rref and
-_reduce know the format and pick the kernel: the numpy kernel
+`not v.any()` in both formats; only the private helpers _matrix, _rref,
+_eliminate and _reduce know the format and pick the kernel: the numpy kernel
 (rref_mod_p / reduce_mod_p, with the field's lookup tables over GF(p^m))
 for every finite field, rref_generic / reduce_generic for QQ.  Over QQ,
 rref_generic eliminates modulo word-size primes in that same numpy kernel
@@ -42,6 +42,18 @@ an exact Fraction loop, only serves the residue of a single vector.
 Containment of subspaces is one rank test, dim(S + T) == dim(S), on every
 field.  rref() offers the same engine for small matrices outside the
 truncated ring.
+
+Before either kernel runs, _rref takes out the unit rows, on every field
+alike: the stacked multiples X^A g are mostly rows with one nonzero, whose
+columns U are then pivot columns of the RREF with unit rows e_c.  Clearing
+U from the other rows can leave new singletons, so this repeats; it is the
+singleton step of structured Gaussian elimination (LaMacchia and Odlyzko,
+"Solving large sparse linear systems over finite fields", CRYPTO 1990) and
+needs only index operations.  The kernel then eliminates only the rows left
+nonzero, on the columns outside U.  Those RREF rows vanish on U and the
+rows e_c vanish on their pivots, so the two sets together, sorted by pivot,
+are the canonical RREF of the whole matrix.  On the benchmark's
+analyze_prime specs the kernel's cells fall from 9.5M to 0.2M a pass.
 
 Dense rows over at most N = C(D+d, d) columns; the supported envelope is
 d <= 6, D <= 16, and the spec parser refuses a ring whose level-0 ideal,
@@ -86,7 +98,7 @@ def _shift_map(nvars: int, D: int, e):
     return out
 
 
-# The three helpers below are the only code that knows how a field's
+# The helpers below are the only code that knows how a field's
 # matrices are stored and which kernel eliminates them.  Everything else
 # indexes, stacks and compares the 2-D arrays they return.
 
@@ -108,14 +120,58 @@ def _matrix(field, shape, cells=None):
 def _rref(field, rows):
     """(canonical RREF rows as a matrix, pivot columns as ints) of a nonempty
     list of vectors in the field's format, or of a matrix, which may be
-    overwritten."""
+    overwritten.
+
+    The kernel eliminates only the rows that the singleton presolve leaves
+    nonzero, on the columns it has not taken; the unit rows e_c of the
+    taken columns c join its RREF rows at their sorted pivot positions."""
     if field.char:
         mat = np.asarray(rows)
         if field.tables is None:
             np.remainder(mat, field.p, out=mat)
+    else:
+        mat = np.asarray(rows, dtype=object)
+    taken, cnt = _singletons(mat)
+    if not taken.any():
+        return _eliminate(field, mat)
+    units, free, live = np.flatnonzero(taken), np.flatnonzero(~taken), np.flatnonzero(cnt)
+    block = mat[np.ix_(live, free)]
+    red, piv = _eliminate(field, block) if live.size else (block, [])
+    piv = free[piv]
+    pivots = np.sort(np.concatenate([units, piv]))
+    out = _matrix(field, (len(pivots), mat.shape[1]))
+    out[np.searchsorted(pivots, units), units] = field.one()
+    out[np.ix_(np.searchsorted(pivots, piv), free)] = red
+    return out, pivots.tolist()
+
+
+def _singletons(mat):
+    """(taken, cnt): the columns of rows with one nonzero, taken as unit
+    pivots round after round as clearing them from the other rows leaves
+    new singletons, and each row's count of nonzeros outside them.  Beyond
+    one scan of the row counts, a round touches only its singleton rows and
+    the columns it takes.  A row is a singleton in one round at most and a
+    column is taken once, so even a long chain of singletons costs a few
+    passes over the cells, not one per round."""
+    nz = mat.astype(bool)
+    cnt = nz.sum(axis=1)
+    taken = np.zeros(mat.shape[1], dtype=bool)
+    while True:
+        single = np.flatnonzero(cnt == 1)
+        if not single.size:
+            return taken, cnt
+        cols = np.flatnonzero(np.bincount(nz[single].argmax(axis=1), minlength=len(taken)))
+        cnt -= nz[:, cols].sum(axis=1)
+        nz[:, cols] = False
+        taken[cols] = True
+
+
+def _eliminate(field, mat):
+    """_rref of a matrix by the field's kernel alone."""
+    if field.char:
         red, piv = rref_mod_p(mat, field.p, field.tables)
         return red, piv.tolist()
-    return rref_generic(list(rows), field)
+    return rref_generic(list(mat), field)
 
 
 def _reduce(field, rows, pivots, v):

@@ -29,20 +29,10 @@ import numpy as np
 
 from .diffop import DiffOp
 from .filtration import FiltrationSpec
-from .gls import GradedSubspace, greedy_independent, monomial_basis, multiples, poly_to_vec, rref
+from .gls import GradedSubspace, monomial_basis, multiples, poly_to_vec, rref
 from .leading import LGS, linear_coefficients
 from .poly import Poly, TruncationContext
 from .values import SatValue, sat_min
-
-
-def _inverse(field, M):
-    """Inverse of a square matrix over field, or None when it is singular."""
-    n = len(M)
-    red, piv = rref(field, [list(M[i]) + [field.one() if j == i else field.zero()
-                                          for j in range(n)] for i in range(n)])
-    if piv != list(range(n)):
-        return None
-    return [row[n:] for row in red]
 
 
 class HSystem:
@@ -85,32 +75,32 @@ class HSystem:
 
     # --- normalizing coordinates -------------------------------------------
 
-    def _coords_matrix(self):
-        """Rows: root forms extended to a basis by greedy unit vectors.
+    def _coords(self):
+        """(V, V^-1): the rows of V are the root forms, extended to a basis
+        by greedy unit vectors.
 
-        One greedy pass over the k roots, then the d unit vectors: the unit
-        vectors it keeps complete the basis, and a root it skips means the
-        roots are dependent.
+        One elimination of [W | I_d], where the columns of W are the k roots
+        and then the d unit vectors.  Its pivots, all in W, are the greedy
+        keep: the unit vectors it keeps complete the basis, and a root it
+        skips means the roots are dependent.  The kept columns of W are V^T,
+        which the elimination turns into I_d, so the right block is
+        (V^T)^-1, the transpose of V^-1.
         """
         F = self.ctx.field
         d, k = self.ctx.nvars, len(self.roots)
-        rows = [linear_coefficients(v) for v in self.roots]
         units = [[F.one() if j == i else F.zero() for j in range(d)] for i in range(d)]
-        keep = greedy_independent(F, rows + units)
+        cols = [linear_coefficients(v) for v in self.roots] + units
+        red, keep = rref(F, [list(row) + unit for row, unit in zip(zip(*cols), units)])
         if keep[:k] != list(range(k)):
             raise ValueError("initial-form roots are linearly dependent")
-        return rows + [units[c - k] for c in keep[k:]]
+        return [cols[c] for c in keep], [list(col) for col in zip(*(row[k + d:] for row in red))]
 
     def _normalize(self):
         """Entries rewritten in coordinates where h_l = z_l^(p^e_l) + h.o.t."""
         if not self.entries:
             return ()
-        ctx = self.ctx
-        V = self._coords_matrix()
-        Vinv = _inverse(ctx.field, V)
-        if Vinv is None:
-            raise ValueError("coords do not normalize the system")
-        return tuple(h.substitute_linear(Vinv).truncate(ctx.D)
+        _, Vinv = self._coords()
+        return tuple(h.substitute_linear(Vinv).truncate(self.ctx.D)
                      for h, _ in self.entries)
 
     # --- level bookkeeping ---------------------------------------------------

@@ -21,12 +21,12 @@ from .diffop import (DiffOp, compose, hasse_apply, ideal_order,
                      is_pe_power_generated, log_apply, product_rule_check)
 from .fields import ExtensionField, PrimeField, RationalField, binom_multi
 from .filtration import FiltrationSpec, is_integral_witness
-from .gls import GradedSubspace, ideal_image, membership, monomial_basis
+from .gls import GradedSubspace, greedy_independent, ideal_image, membership, monomial_basis
 from .invariants import (HSystem, coefficient_decompose_check,
                          coefficient_default_mu, mu_tilde,
                          nonsingularity_check, supporting1_check,
                          supporting2_check, supporting3_check)
-from .leading import extract_lgs, pure_part
+from .leading import extract_lgs, linear_coefficients, pure_part
 from .poly import Poly, TruncationContext, mi_sub, poly_str
 from .saturation import (RadicalProbeBounds, b_saturate_probe, d_saturate,
                          frobenius_probe, radical_probe, theta_monomial,
@@ -678,14 +678,16 @@ def suite_leading_pure(rng) -> SuiteResult:
         p = F.char
         lgs, sig, L = extract_lgs(spec)
         emax = len(sig.values) - 1
-        # chain of pure parts, root coordinates
+        # chain of pure parts, root coordinates: an earlier root lies in U_e
+        # iff greedy pivoting does not keep it after the roots of U_e
         prev_roots = None
         for e in range(emax + 1):
             basis, roots = pure_part(L, e)
-            span = GradedSubspace.from_polys(ctx, roots)
+            rows = [linear_coefficients(v) for v in roots]
             if prev_roots is not None:
                 for v in prev_roots:
-                    res.check(span.contains_poly(v), "pure chain inclusion")
+                    keep = greedy_independent(F, rows + [linear_coefficients(v)])
+                    res.check(len(rows) not in keep, "pure chain inclusion")
             res.check(len(basis) <= ctx.nvars, "pure dimension bounded by d")
             prev_roots = roots
         # sigma monotone

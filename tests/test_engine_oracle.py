@@ -130,6 +130,22 @@ def matrices(draw):
                             min_size=1, max_size=5))
 
 
+@st.composite
+def mostly_unit_rows(draw, F):
+    """Rows that are mostly c*e_j, with c often not 1 and j often repeated,
+    plus zero rows, chain rows c*e_j + c'*e_(j+1), which become singletons
+    only once an earlier round has taken e_j, and a few denser rows."""
+    ncols = draw(st.integers(1, 6))
+    nonzero = scalars(F).filter(lambda c: not F.is_zero(c))
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        j = draw(st.integers(0, ncols - 1))
+        support = draw(st.sampled_from([{j}, {j}, {j}, set(), {j, min(j + 1, ncols - 1)},
+                                        set(range(j, ncols))]))
+        rows.append([draw(nonzero) if c in support else F.zero() for c in range(ncols)])
+    return rows
+
+
 # tests -----------------------------------------------------------------------
 
 @ORACLE
@@ -208,6 +224,48 @@ def test_coordinate_section(case, data):
 def test_rref(case):
     F, rows = case
     assert gls.rref(F, rows) == gauss_jordan(F, rows)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+@ORACLE
+@given(data=st.data())
+def test_rref_mostly_unit_rows(F, data):
+    rows = data.draw(mostly_unit_rows(F))
+    assert gls.rref(F, rows) == gauss_jordan(F, rows)
+
+
+def unit_row_cases(F):
+    """(rows, shape of the block left to the kernel, or None when the
+    presolve answers alone)."""
+    z, o = F.zero(), F.one()
+    c = (2 % F.p ** F.m or o) if F.char else Fraction(-3, 2)  # c != 1 unless q = 2
+    return [
+        ([[z, c, z], [z, o, z], [o, z, z], [z, z, c]], None),  # all rows unit, duplicates
+        ([[z, z], [z, z]], (2, 2)),  # all rows zero: no singleton, the kernel gets all
+        ([[o, z, z], [o, o, z], [z, o, o]], None),  # e_0, e_0+e_1, e_1+e_2: no column left
+        # e_0, e_0+e_1 and c*e_4 are pivots after two rounds; two rows are left on
+        # columns 2 and 3, and the zero row drops
+        ([[o, z, z, z, z], [o, o, z, z, z], [z, z, z, z, c], [z, z, o, o, z],
+          [z, z, o, o, o], [z, z, z, z, z]], (2, 2)),
+    ]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_presolve_leaves_only_the_residual_block(F, monkeypatch):
+    shapes = []
+
+    def recorded(kernel):
+        def call(mat, *args):
+            shapes.append((len(mat), len(mat[0])))
+            return kernel(mat, *args)
+        return call
+
+    monkeypatch.setattr(gls, "rref_mod_p", recorded(gls.rref_mod_p))
+    monkeypatch.setattr(gls, "rref_generic", recorded(gls.rref_generic))
+    for rows, shape in unit_row_cases(F):
+        shapes.clear()
+        assert gls.rref(F, rows) == gauss_jordan(F, rows)
+        assert shapes == ([] if shape is None else [shape])
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)

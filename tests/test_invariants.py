@@ -48,11 +48,14 @@ def test_hsystem_dependent_roots(F2, QQ):
 
 def test_hsystem_coords_complete_roots_greedily(F3):
     # root x + y: e_x completes it, e_y is then dependent, e_z completes it
+    # V^-1 comes out of the same elimination
     ctx = ctx_of(F3, 3, 6)
     H = HSystem(ctx, [(mk(F3, "x + y", ("x", "y", "z")), 0)])
-    assert H._coords_matrix() == [[1, 1, 0], [1, 0, 0], [0, 0, 1]]
+    assert H._coords() == ([[1, 1, 0], [1, 0, 0], [0, 0, 1]],
+                           [[0, 1, 0], [1, 2, 0], [0, 0, 1]])
     H = HSystem(ctx, [(mk(F3, "y^3 + z^4", ("x", "y", "z")), 1)])
-    assert H._coords_matrix() == [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    assert H._coords() == ([[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                           [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
 
 
 def test_ord_h_examples(F2):

@@ -4,7 +4,7 @@ import pytest
 
 from idfilt.fields import FieldError
 from idfilt.filtration import FiltrationSpec
-from idfilt.gls import GradedSubspace
+from idfilt.gls import GradedSubspace, ideal_image
 from idfilt.leading import (default_emax, extract_lgs, leading_algebra,
                             pure_part, sigma)
 from idfilt.poly import Poly, poly_str
@@ -99,6 +99,30 @@ def test_extract_lgs_showcase_char0(QQ):
     lgs, sig, _ = extract_lgs(showcase(QQ))
     assert [(poly_str(h), e) for h, e in lgs] == [("x", 0)]
     assert list(sig.values) == [1]
+
+
+class LevelTable(FiltrationSpec):
+    """Level ideals given outright by generators, with no product rule
+    between the levels."""
+
+    def __init__(self, ctx, table):
+        super().__init__(ctx, [])
+        self.table = table
+
+    def ideal_at_level(self, a):
+        return ideal_image(self.table.get(a, []), self.ctx)
+
+
+def test_sigma_not_stabilized_when_an_earlier_root_leaves(F2):
+    # A generated filtration, saturated or not, never loses a root: h in I_1
+    # puts h^p in I_p.  This table drops x after e = 0: U_0 = <x>, then
+    # U_1 = U_2 = <y>.  The last two levels agree and add no root, but x
+    # has left the chain, so sigma has not stabilized.
+    F = LevelTable(ctx_of(F2, 2, 4), {1: [mk(F2, "x")], 2: [mk(F2, "y^2")],
+                                      4: [mk(F2, "y^4")]})
+    lgs, sig, _ = extract_lgs(F)
+    assert [(poly_str(h), e) for h, e in lgs] == [("x", 0), ("y^2", 1)]
+    assert sig.values == (1, 1, 1) and not sig.stabilized
 
 
 def test_extract_lgs_empty(F2):
