@@ -27,9 +27,11 @@ section 7):
 
 When reconstruction or the certificate fails, the next prime is added.
 Values are handled once per distinct object: the input cells are grouped by
-identity, and each distinct output value is one shared Fraction.
+identity, and each distinct nonzero output value is one shared Fraction;
+zero comes back as the int 0.
 
-reduce_generic keeps an exact Fraction loop for the residue of one vector.
+reduce_generic computes the residue of one vector exactly, by object-array
+updates on the nonzero columns of each basis row.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def _mqrr(u: int, m: int):
     reconstruction)."""
     T = m.bit_length() << _MQRR_BITS
     if u == 0:
-        return Fraction(0) if m > T else None
+        return 0 if m > T else None
     n = d = 0
     r0, r1, t0, t1 = m, u, 0, 1
     while r1 and r0 > T:
@@ -181,11 +183,11 @@ def _certified(A, norm, values, index, pivots) -> bool:
 
 def rref_generic(rows, field):
     """Canonical RREF over QQ of a nonempty list of equal-length rows of
-    Fractions.
+    rationals: Fractions, and ints for zero.
 
-    Returns (matrix, pivots): the nonzero RREF rows as an object array of
-    Fractions, one shared object per distinct value, and the pivot columns
-    as ints.
+    Returns (matrix, pivots): the nonzero RREF rows as an object array, one
+    shared Fraction per distinct nonzero value and the int 0 for zero, and
+    the pivot columns as ints.
     """
     A, norm = _integer_rows(*_distinct(rows))
     best, kept = None, []
@@ -205,12 +207,13 @@ def rref_generic(rows, field):
             return np.array(values, dtype=object)[index], piv
 
 
-def reduce_generic(rows, pivots, v, field):
-    """Residue of v modulo the row space of an RREF basis."""
-    out = list(v)
-    for k, c in enumerate(pivots):
+def reduce_generic(rows, pivots, v):
+    """Residue of v modulo the row space of an RREF basis, as a new object
+    array."""
+    out = np.array(v, dtype=object)
+    for row, c in zip(rows, pivots):
         f = out[c]
-        if not field.is_zero(f):
-            nf = field.neg(f)
-            out = [field.add(x, field.mul(nf, y)) for x, y in zip(out, rows[k])]
+        if f:
+            nz = np.flatnonzero(row)
+            out[nz] -= f * row[nz]
     return out

@@ -30,15 +30,19 @@ rows become 16 and 1,704).
 
 Every basis, over every field, is one 2-D numpy array: int64 over a finite
 field (residues in [0, p) over GF(p), the field's int codes in [0, q) over
-GF(p^m)) and an object array of Fractions over QQ.  Row selection, stacking,
-scattering and comparison are therefore one code path, and a zero test is
-`not v.any()` in both formats; only the private helpers _matrix, _rref,
-_eliminate and _reduce know the format and pick the kernel: the numpy kernel
-(rref_mod_p / reduce_mod_p, with the field's lookup tables over GF(p^m))
-for every finite field, rref_generic / reduce_generic for QQ.  Over QQ,
+GF(p^m)) and an object array over QQ, whose nonzero cells are Fractions and
+whose zero cells are numpy's own int 0, so that a truth test of a zero cell
+runs in C (a zero may also be Fraction(0); no code reads which type a zero
+has).  Row selection, stacking, scattering and comparison are therefore one
+code path, and a zero test is `not v.any()` in both formats; only the
+private helpers _matrix, _rref, _eliminate and _reduce know the format and
+pick the kernel: the numpy kernel (rref_mod_p / reduce_mod_p, with the
+field's lookup tables over GF(p^m)) for every finite field, rref_generic /
+reduce_generic for QQ.  Over QQ,
 rref_generic eliminates modulo word-size primes in that same numpy kernel
 and certifies the rational result exactly (see _linalg); reduce_generic,
-an exact Fraction loop, only serves the residue of a single vector.
+exact object-array updates on the nonzero columns of each basis row, only
+serves the residue of a single vector.
 Containment of subspaces is one rank test, dim(S + T) == dim(S), on every
 field.  rref() offers the same engine for small matrices outside the
 truncated ring.
@@ -106,15 +110,14 @@ def _shift_map(nvars: int, D: int, e):
 def _matrix(field, shape, cells=None):
     """A matrix in the field's array format, zero or filled row-major from
     the iterable cells: int64 entries (residues in [0, p) for GF(p), codes
-    in [0, q) for GF(p^m)) over a finite field, an object array of Fractions
-    over QQ."""
+    in [0, q) for GF(p^m)) over a finite field, an object array over QQ
+    whose zero cells are the int 0."""
     dtype = np.int64 if field.char else object
     if cells is not None:
         return np.fromiter(cells, dtype=dtype, count=np.prod(shape)).reshape(shape)
-    out = np.zeros(shape, dtype=dtype)  # calloc: unwritten zero pages stay free
-    if dtype is object:
-        out.fill(field.zero())
-    return out
+    # int64 zeros come from calloc, so unwritten zero pages stay free; an
+    # object array is written through, one reference to the int 0 a cell
+    return np.zeros(shape, dtype=dtype)
 
 
 def _rref(field, rows):
@@ -179,8 +182,7 @@ def _reduce(field, rows, pivots, v):
     if field.char:
         return reduce_mod_p(rows, np.asarray(pivots, dtype=np.int64), v, field.p,
                             field.tables)
-    out = reduce_generic(rows, pivots, v, field)
-    return _matrix(field, len(out), out)
+    return reduce_generic(rows, pivots, v)
 
 
 def rref(field, rows):
@@ -193,7 +195,8 @@ def rref(field, rows):
         return [], []
     mat = _matrix(field, (len(rows), len(rows[0])), chain.from_iterable(rows))
     red, piv = _rref(field, mat)
-    return red.tolist(), piv
+    zero = field.zero()
+    return [[x if x else zero for x in row] for row in red.tolist()], piv
 
 
 def greedy_independent(field, vecs):
@@ -436,7 +439,9 @@ def ideal_image(gens, ctx: TruncationContext) -> GradedSubspace:
     of the kept monomials, which add no row outside the span of the rest.
     So the span, and the canonical basis, is that of the full stack."""
     blocks = [multiples(g, ctx) for g in _pruned(gens, ctx)]
-    return GradedSubspace.from_vectors(ctx, np.vstack(blocks) if blocks else [])
+    stack = np.vstack(blocks) if blocks else []
+    del blocks  # the stack is a copy; free the blocks before the elimination
+    return GradedSubspace.from_vectors(ctx, stack)
 
 
 def membership(f: Poly, S: GradedSubspace) -> bool:

@@ -59,7 +59,7 @@ class HSystem:
             if h.order() != q:
                 raise ValueError("entry order does not match its level")
             lead = h.graded_component(q)
-            v = lead.pe_power_root(e) if e > 0 else lead
+            v = lead.pe_power_root(e)
             if v is None or v.degree() != 1 or not v.graded_component(0).is_zero():
                 raise ValueError("initial form is not a pure power of a linear form")
             roots.append(v)
@@ -402,8 +402,9 @@ def supporting3_check(H: HSystem, r: int) -> bool:
     lhs = H.ideal_space().meet_power_m(r)
     blocks = [multiples(h, ctx, max(0, r - H.level(l)))
               for l, (h, _) in enumerate(H.entries)]
-    rhs = GradedSubspace.from_vectors(ctx, np.vstack(blocks) if blocks else [])
-    return lhs.equals(rhs)
+    stack = np.vstack(blocks) if blocks else []
+    del blocks  # the stack is a copy; free the blocks before the elimination
+    return lhs.equals(GradedSubspace.from_vectors(ctx, stack))
 
 
 # ---------------------------------------------------------------------------

@@ -103,11 +103,7 @@ def pure_part(L: LeadingAlgebra, e: int):
     pure = [index[tuple(q if j == i else 0 for j in range(ctx.nvars))]
             for i in range(ctx.nvars)]
     basis = L.piece(q).coordinate_section(pure).basis_polys()
-    F = ctx.field
-    roots = [Poly(F, ctx.nvars, {tuple(x // q for x in exps): F.frobenius_root(c, e)
-                                 for exps, c in w.terms.items()})
-             for w in basis]
-    return basis, roots
+    return basis, [w.pe_power_root(e) for w in basis]
 
 
 def default_emax(ctx: TruncationContext) -> int:

@@ -80,6 +80,19 @@ def rand_exps(rng, d, max_deg, min_deg=0):
             return e
 
 
+def _split_fits(vs, room, m):
+    """Integer feasibility: does some split of m among the exponent vectors
+    vs sum to at most room in every coordinate, that is, does some product
+    of m of the monomials X^v divide X^room."""
+    if len(vs) == 1:
+        return all(m * x <= c for x, c in zip(vs[0], room))
+    for take in range(m + 1):
+        left = [c - take * x for x, c in zip(vs[0], room)]
+        if all(c >= 0 for c in left) and _split_fits(vs[1:], left, m - take):
+            return True
+    return False
+
+
 def rand_poly(rng, F, d, max_deg, terms=4, min_ord=0, nonzero=True):
     t = {}
     for _ in range(terms):
@@ -449,22 +462,6 @@ def suite_radical_probe(rng) -> SuiteResult:
     res = SuiteResult("radical_probe",
                       "probe soundness against exact monomial asymptotics")
     bounds = RadicalProbeBounds()
-
-    def divides_power(vs, w, n, m):
-        # integer feasibility: some product of m generators divides X^(n*w)
-        room0 = [n * c for c in w]
-
-        def rec(i, left, room):
-            if i == len(vs) - 1:
-                return all(left * vs[i][k] <= room[k] for k in range(len(room)))
-            for take in range(left + 1):
-                nr = [room[k] - take * vs[i][k] for k in range(len(room))]
-                if all(c >= 0 for c in nr) and rec(i + 1, left - take, nr):
-                    return True
-            return False
-
-        return rec(0, m, room0)
-
     for p in (2, 3, 5):
         F = PrimeField(p)
         ctx = TruncationContext(F, 2, 10)
@@ -493,7 +490,7 @@ def suite_radical_probe(rng) -> SuiteResult:
                         continue
                     q = (n * b) / L
                     m = math.ceil(q)
-                    if m <= 0 or divides_power(vs, r, n, m):
+                    if m <= 0 or _split_fits(vs, [n * c for c in r], m):
                         witness = True
                         break
                 res.check(not witness,
@@ -556,25 +553,10 @@ def suite_theta(rng) -> SuiteResult:
 
     def brute_theta(gen_exps, w, cap=30):
         best = Fraction(0)
-        s = len(gen_exps)
-
-        def feasible(target, m):
-            # does some split of m among the generators dominate target
-            def rec(i, left, room):
-                if i == s - 1:
-                    return all(left * gen_exps[i][k] <= room[k]
-                               for k in range(len(room)))
-                for take in range(left + 1):
-                    nr = [room[k] - take * gen_exps[i][k] for k in range(len(room))]
-                    if all(c >= 0 for c in nr) and rec(i + 1, left - take, nr):
-                        return True
-                return False
-            return rec(0, m, list(target))
-
         for n in range(1, cap + 1):
             target = [n * c for c in w]
             m = int(best * n)
-            while feasible(target, m + 1):
+            while _split_fits(gen_exps, target, m + 1):
                 m += 1
             best = max(best, Fraction(m, n))
         return best

@@ -300,6 +300,34 @@ def test_rref_wide_rationals(rows):
     assert gls.rref(QQ, rows) == gauss_jordan(QQ, rows)
 
 
+@st.composite
+def qq_zero_kinds(draw):
+    """(rows, probes): QQ vectors whose zero cells are all int 0, all
+    Fraction(0) or a mix of both, as callers may hand them in."""
+    ncols = draw(st.integers(2, 6))
+    zero = draw(st.sampled_from([st.just(0), st.just(Fraction(0)),
+                                 st.sampled_from([0, Fraction(0)])]))
+    cell = st.one_of(zero, zero, scalars(QQ).filter(bool))
+    vecs = st.lists(st.lists(cell, min_size=ncols, max_size=ncols), min_size=1, max_size=5)
+    return draw(vecs), draw(vecs)
+
+
+@ORACLE
+@given(qq_zero_kinds())
+def test_qq_zeros_of_either_type(case):
+    rows, probes = case
+    want = gauss_jordan(QQ, rows)
+    got = gls.rref(QQ, rows)
+    assert got == want and all(type(x) is Fraction for row in got[0] for x in row)
+    ctx = TruncationContext(QQ, 1, len(rows[0]) - 1, frozenset())
+    S = GradedSubspace.from_vectors(ctx, [np.array(r, dtype=object) for r in rows])
+    assert engine_basis(S) == want
+    residues = [S.reduce_vec(np.array(v, dtype=object)).tolist() for v in probes]
+    assert residues == [residue(QQ, want, v) for v in probes]
+    T = GradedSubspace.from_vectors(ctx, [np.array(v, dtype=object) for v in probes])
+    assert S.contains_subspace(T) == all(not any(r) for r in residues)
+
+
 def test_wide_entries_take_several_primes(monkeypatch):
     calls = []
 
@@ -351,6 +379,7 @@ def test_qq_engine_never_uses_field_arithmetic(monkeypatch):
             Poly(QQ, 2, {mons[3]: Fraction(1)})]
     vecs = [gls.poly_to_vec(g, ctx) for g in gens]
     rows = [v.tolist() for v in vecs]
+    probe = gens[0] + gens[2]
 
     def forbidden(*args):
         raise AssertionError("QQ field arithmetic called")
@@ -363,6 +392,33 @@ def test_qq_engine_never_uses_field_arithmetic(monkeypatch):
     assert A.intersect(B).dim == 1
     assert A.coordinate_section(range(len(mons) // 2)).dim <= A.dim
     assert gls.rref(QQ, rows)[1] == [1, 2, 3]
+    # vecs[1] lies in A, vecs[2] does not: the residues go through pivots
+    assert not A.reduce_vec(vecs[1]).any() and A.reduce_vec(vecs[2]).any()
+    assert A.contains_poly(gens[1]) and not A.contains_poly(gens[2])
+    assert A.reduce_poly(probe) == gens[2]
+
+
+def test_qq_presolve_tests_each_nonzero_cell_once(monkeypatch):
+    """The zero cells of a QQ stack are the int 0, whose truth test runs in
+    C, so eliminating an ideal_image stack tests each nonzero Fraction once
+    at most, in the singleton presolve."""
+    ctx = TruncationContext(QQ, 2, 6, frozenset())
+    gens = [Poly(QQ, 2, {(2, 0): Fraction(1, 2), (0, 3): Fraction(1)}),
+            Poly(QQ, 2, {(1, 1): Fraction(1), (0, 2): Fraction(-3, 5)})]
+    stack = np.vstack([gls.multiples(g, ctx) for g in gens])
+    nonzero = np.count_nonzero(stack)
+    truth = Fraction.__bool__
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return truth(a)
+
+    monkeypatch.setattr(Fraction, "__bool__", counted)
+    S = GradedSubspace.from_vectors(ctx, stack.copy())
+    monkeypatch.undo()
+    assert 0 < len(calls) <= nonzero
+    assert engine_basis(S) == gauss_jordan(QQ, stack.tolist())
 
 
 @ORACLE
