@@ -5,8 +5,10 @@ a, with I_a * I_b inside I_(a+b) and I_0 = R.  Here one is presented by a
 finite list of (polynomial, positive rational level) generators; the ideal
 at level a is generated by the products of generators whose levels sum to
 at least a, and at a <= 0 by the empty product 1, so I_0 = R comes out of
-the same construction as every other level.  All ideals are taken as images
-in R/m^(D+1), each the canonical GradedSubspace it spans.
+the same construction as every other level.  The minimal such products, the
+ones that fall short of a once any one factor is removed, suffice: every
+other qualifying product is a multiple of one of them.  All ideals are taken
+as images in R/m^(D+1), each the canonical GradedSubspace it spans.
 
 Normalization drops zero polynomials and non-positive levels (both carry no
 information), and detects generators that are units at the origin, which
@@ -81,44 +83,44 @@ class FiltrationSpec:
     # level ideals -----------------------------------------------------------
 
     def _minimal_products(self, a: Fraction):
-        """Minimal generator products reaching level a, pruned by order.
+        """The minimal generator products reaching level a: those that fall
+        short of it once any one factor is removed.
 
-        A product whose order exceeds D vanishes in the quotient and any
-        extension of a qualifying product is a redundant multiple, so the
-        search stops each branch at the first power that reaches a.  That is
-        not yet an antichain: with x @ 1/2 and y^2 @ 2/3, level 7/6 yields
-        x^2*y^2 beside x*y^2, and ideal_image prunes such multiples.
-        Levels are walked as integers in units of 1/grid_denominator.
+        Generators are walked by ascending level, so the first factor of a
+        branch has the least level, and a product is minimal exactly when
+        dropping that factor leaves it below a.  A branch stops before a
+        product that is not minimal, as no extension of it is, or whose
+        order exceeds D (over a field the orders of factors add up, so it
+        vanishes in the quotient): no discarded product is built.  Levels
+        are walked as integers in units of 1/grid_denominator.
         """
         D = self.ctx.D
         delta = self.grid_denominator
         a = math.ceil(Fraction(a) * delta)
+        one = Poly.one(self.ctx.field, self.ctx.nvars)
+        if a <= 0:
+            return [one]
         data = [(f.truncate(D), int(lvl * delta), f.order()) for f, lvl in self.gens]
         out = []
 
-        def walk(i, prod, level, order):
-            if level >= a:
-                out.append(prod)
-                return
+        def walk(i, prod, level, order, least):
             if i >= len(data):
                 return
-            walk(i + 1, prod, level, order)
+            walk(i + 1, prod, level, order, least)
             f, lvl, ordf = data[i]
-            p, l, o = prod, level, order
-            while True:
-                o += ordf
-                if o > D:
+            least = least or lvl
+            while level < a:
+                order += ordf
+                level += lvl
+                if order > D or level - least >= a:
                     break
-                p = p.mul_trunc(f, D)
-                if p.is_zero():
-                    break
-                l += lvl
-                if l >= a:
-                    out.append(p)
-                    break
-                walk(i + 1, p, l, o)
+                prod = prod.mul_trunc(f, D)
+                if level >= a:
+                    out.append(prod)
+                else:
+                    walk(i + 1, prod, level, order, least)
 
-        walk(0, Poly.one(self.ctx.field, self.ctx.nvars), 0, 0)
+        walk(0, one, 0, 0, 0)
         return out
 
     def ideal_at_level(self, a) -> GradedSubspace:

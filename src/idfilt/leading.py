@@ -27,7 +27,6 @@ ever built.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .fields import FieldError
@@ -108,10 +107,10 @@ def pure_part(L: LeadingAlgebra, e: int):
 
 def default_emax(ctx: TruncationContext) -> int:
     """Largest e with p^e <= D; pure parts beyond are invisible at truncation."""
-    p = ctx.field.char
-    if p == 0:
-        return 0
-    return int(math.log(ctx.D, p) + 1e-9)
+    p, e = ctx.field.char, 0
+    while p and p ** (e + 1) <= ctx.D:
+        e += 1
+    return e
 
 
 @dataclass(frozen=True)

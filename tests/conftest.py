@@ -1,4 +1,6 @@
+import io
 import random
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -34,6 +36,17 @@ def QQ():
 @pytest.fixture
 def rng():
     return random.Random(20240)
+
+
+@pytest.fixture(scope="session")
+def verify_json():
+    """(exit code, stdout bytes) of `idfilt verify --json` run in process: the
+    whole invariant corpus, run once for every test that reads it."""
+    from idfilt.cli import main
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["verify", "--json"])
+    return code, out.getvalue().encode()
 
 
 def mk(field, text, names=("x", "y")):

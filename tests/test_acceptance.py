@@ -152,11 +152,20 @@ def test_criterion_13_determinism_and_mutation(tmp_path, monkeypatch):
             ok)
 
 
-def test_full_verify_exits_clean():
-    out = subprocess.run([sys.executable, "-m", "idfilt.cli", "verify"],
-                         capture_output=True, text=True)
-    lines = [l for l in out.stdout.splitlines() if l.startswith("[")]
-    print(f"[PASS] full corpus: {len(lines)} suites via the CLI"
-          if out.returncode == 0 else "[FAIL] full corpus")
-    assert out.returncode == 0
-    assert len(lines) >= 12
+def test_full_verify_exits_clean(verify_json, monkeypatch, capsys):
+    # the corpus itself runs once a session (verify_json); the text rendering,
+    # one "[pass]" line a suite and then the total, is read on two suites
+    monkeypatch.setattr(V, "ALL_SUITES", [V.suite_field_axioms, V.suite_pe_roots])
+    from idfilt.cli import main as cli_main
+    assert cli_main(["verify"]) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert [l.split(":")[0] for l in text[:2]] == [
+        "[pass] field_axioms", "[pass] pe_roots"]
+    n = sum(int(l.rsplit("(", 1)[1].split()[0]) for l in text[:2])
+    assert text[2:] == [f"2 suites, {n} instances, all passed"]
+    code, out = verify_json
+    suites = json.loads(out)["suites"]
+    print(f"[PASS] full corpus: {len(suites)} suites via the CLI"
+          if code == 0 else "[FAIL] full corpus")
+    assert code == 0
+    assert len(suites) >= 12 and all(s["passed"] for s in suites)

@@ -142,6 +142,18 @@ PINNED_REPORTS = {
         "gen: 1000003*x^2 + 999999937*y^3 - 123456789012345678901*z^4 @ 2\n"
         "gen: 7*x*y*z + 3*y^2 + 2*x*z @ 3\n",
         "d12f7ad59db9de32e44589e9d01e0c7bab81041196f8f5fc1b12a52a2a18f499"),
+    # the level ideals come from minimal generator products only: levels off
+    # a common grid, many same-level products, and a fourth variable
+    "gf2_levels": ("field: GF(2)\nvars: x, y\ntruncation: 6\n"
+                   "gen: x @ 1/3\ngen: y^2 @ 5/7\n",
+                   "2cc4373179be974cbe5657ec97432efe7484c4dd6327092201d9777f51fc2ec2"),
+    "qq_dense": ("field: QQ\nvars: x, y, z\ntruncation: 6\n"
+                 "gen: x^2 + 2*x*y + 3*y^2 - x*z + 5*z^2 + y^3 @ 2\n"
+                 "gen: x*y + y*z + z*x + x^3 - 7*y^3 @ 2\n",
+                 "69c6c4d44031227245d05eb73b2a28cd775ceb1be6bd4a0b2409f8a31e6f9166"),
+    "gf3_d4_D10": ("field: GF(3)\nvars: x, y, z, w\ntruncation: 10\n"
+                   "gen: x^3 + y^4 + z^5 @ 3\ngen: x*y*z @ 2\n",
+                   "e046f58adb86ea52919c190c33a9ff164e55c383efc158b3b4fa5c38607dcee1"),
 }
 
 
@@ -156,11 +168,10 @@ def test_analyze_report_bytes_pinned(name, tmp_path, capsys):
     assert hashlib.sha256(out).hexdigest() == digest
 
 
-def test_verify_json_pinned(capsys):
+def test_verify_json_pinned(verify_json):
     # the whole invariant corpus, byte for byte: 22 suites, 306,757 instances
-    from idfilt.cli import main
-    assert main(["verify", "--json"]) == 0
-    out = capsys.readouterr().out.encode()
+    code, out = verify_json
+    assert code == 0
     payload = json.loads(out)
     assert len(payload["suites"]) == 22
     assert sum(s["instances"] for s in payload["suites"]) == 306757

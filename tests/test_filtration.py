@@ -180,6 +180,36 @@ def test_level_ideal_vs_unpruned_enumeration(rng, F3):
                 ideal_image(prods, ctx))
 
 
+@pytest.mark.parametrize("name", ["F2", "F3", "F9", "QQ"])
+def test_minimal_products_are_the_minimal_exponent_vectors(name, request, rng):
+    # brute force: every exponent vector of order <= D that reaches the level
+    # and falls short of it once any one used generator is removed
+    import itertools
+    from idfilt.verify import rand_spec
+    F = request.getfixturevalue(name)
+    for _ in range(8):
+        spec = rand_spec(rng, F, 2, 6, rng.choice([1, 2, 3]))
+        ctx = spec.ctx
+        delta = spec.grid_denominator
+        orders = [f.order() for f, _ in spec.gens]
+        levels = [lvl for _, lvl in spec.gens]
+        for a in (Fraction(1, delta), Fraction(4, delta) - Fraction(1, 7), Fraction(9, delta),
+                  Fraction(3)):
+            want = []
+            for counts in itertools.product(*[range(ctx.D // o + 1) for o in orders]):
+                level = sum(c * lvl for c, lvl in zip(counts, levels))
+                if (level < a or sum(c * o for c, o in zip(counts, orders)) > ctx.D
+                        or any(c and level - lvl >= a for c, lvl in zip(counts, levels))):
+                    continue
+                prod = Poly.one(F, 2)
+                for c, (g, _) in zip(counts, spec.gens):
+                    for _ in range(c):
+                        prod = prod.mul_trunc(g, ctx.D)
+                want.append(prod.sort_key())
+            got = [p.sort_key() for p in spec._minimal_products(a)]
+            assert sorted(got) == sorted(want)
+
+
 def test_integral_witness_examples(QQ):
     ctx = ctx_of(QQ, 2, 8)
     F = FiltrationSpec(ctx, [(mk(QQ, "x^2"), 2)])
@@ -199,9 +229,9 @@ def test_minimal_products_between_grid_points(F3):
     F = FiltrationSpec(ctx, [(mk(F3, "x"), Fraction(1, 2)), (mk(F3, "y^2"), Fraction(2, 3))])
     key = lambda prods: sorted(p.sort_key() for p in prods)
     assert key(F._minimal_products(Fraction(5, 4))) == key(F._minimal_products(Fraction(4, 3)))
-    # the walk stops each generator's power at the first one reaching 7/6:
-    # x^3 (3/2), y^4 (4/3), x*y^2 (7/6), and x^2*y^2 (5/3), since x^2 alone
-    # (1) falls short; ideal_image drops that multiple of x*y^2
+    # the minimal products reaching 7/6: x^3 (3/2), y^4 (4/3) and x*y^2
+    # (7/6); x^2*y^2 (5/3) is not one, since y^2 with one x (7/6) still
+    # reaches the level
     got = {poly_str(p) for p in F._minimal_products(Fraction(7, 6))}
-    assert got == {"x^3", "y^4", "x*y^2", "x^2*y^2"}
+    assert got == {"x^3", "y^4", "x*y^2"}
     assert [poly_str(p) for p in F._minimal_products(0)] == ["1"]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from idfilt.fields import FieldError
+from idfilt.fields import FieldError, PrimeField
 from idfilt.filtration import FiltrationSpec
 from idfilt.gls import GradedSubspace, ideal_image
 from idfilt.leading import (default_emax, extract_lgs, leading_algebra,
@@ -140,6 +140,12 @@ def test_sigma_direct(F2, QQ):
 def test_default_emax(F2, QQ):
     assert default_emax(ctx_of(F2, 2, 10)) == 3  # 2^3 = 8 <= 10 < 16
     assert default_emax(ctx_of(QQ, 2, 10)) == 0
+    # exact at the boundaries D = p^k and p^k - 1, where a float log can slip
+    for p in (2, 3, 5, 7, 11, 13):
+        F = PrimeField(p)
+        for k in (1, 2, 3, 4, 5):
+            assert default_emax(ctx_of(F, 2, p ** k)) == k
+            assert default_emax(ctx_of(F, 2, p ** k - 1)) == k - 1
 
 
 def test_lgs_conditions_reverified(rng, F2, F3):
