@@ -16,7 +16,6 @@ feeds candidate levels to the probe.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,44 +172,49 @@ def _exps_of(mon):
 def _theta_lp(gen_exps, w):
     """max sum(lam) subject to sum lam_i v_i <= w, lam >= 0, exactly.
 
-    Vertex enumeration over the basic solutions of the (bounded) feasible
-    polyhedron; sizes here are tiny, so exhaustive bases are fine.
+    Exact primal simplex on the standard form [V^T | I_d] x = w, x >= 0,
+    whose last d columns are the slacks.  The slack basis is feasible because
+    w >= 0, and the LP is bounded because every generator of a proper ideal
+    has a positive coordinate, which bounds its lam by w there.  Each pivot is
+    one elimination of [M_B | V^T | I_d | w] over QQ: its first d columns
+    are the basis columns, so the columns after them are the tableau
+    B^-1 [V^T | I_d | w].  Bland's rule (Bland 1977) picks the lowest
+    column with positive reduced cost to enter and breaks ratio-test ties
+    by the lowest basic index, so degenerate pivots cannot cycle.
     """
-    vs = [tuple(v) for v in gen_exps]
-    # drop componentwise-dominated generators; they never help the maximum
-    keep = []
-    for v in sorted(set(vs)):
-        if not any(all(u[i] <= v[i] for i in range(len(v))) and u != v for u in vs):
-            keep.append(v)
-    vs = keep
-    s = len(vs)
-    d = len(w)
-    w = [Fraction(c) for c in w]
-    # constraint rows: d inequality rows (A lam <= w), s nonnegativity rows
-    rows = []
-    for i in range(d):
-        rows.append(([Fraction(v[i]) for v in vs], w[i]))
-    for j in range(s):
-        e = [Fraction(0)] * s
-        e[j] = Fraction(1)
-        rows.append((e, Fraction(0)))
-    best = Fraction(0)
+    vs = sorted(set(map(tuple, gen_exps)))
+    # a generator dominating another never helps the maximum
+    vs = [v for v in vs if not any(u != v and all(a <= b for a, b in zip(u, v)) for u in vs)]
+    d, s = len(w), len(vs)
+    A = [[v[i] for v in vs] + [int(k == i) for k in range(d)] + [w[i]] for i in range(d)]
+    basis = list(range(s, s + d))
     QQ = RationalField()
-    for combo in itertools.combinations(range(len(rows)), s):
-        red, piv = rref(QQ, [rows[i][0] + [rows[i][1]] for i in combo])
-        if piv != list(range(s)):  # singular basis: no vertex
-            continue
-        lam = [row[s] for row in red]
-        if any(x < 0 for x in lam):
-            continue
-        ok = True
-        for coeffs, bound in rows[:d]:
-            if sum(c * x for c, x in zip(coeffs, lam)) > bound:
-                ok = False
-                break
-        if ok:
-            best = max(best, sum(lam))
-    return best
+    while True:
+        red, _ = rref(QQ, [[row[j] for j in basis] + row for row in A])
+        tab = [row[d:] for row in red]
+        lam = [t for b, t in zip(basis, tab) if b < s]
+        # reduced cost of column j: c_j - c_B B^-1 A_j, with c = 1 on lam, 0 on slacks
+        enter = next((j for j in range(s + d) if (j < s) - sum(t[j] for t in lam) > 0), None)
+        if enter is None:
+            return Fraction(sum(t[-1] for t in lam))
+        rows = [i for i, t in enumerate(tab) if t[enter] > 0]
+        if not rows:
+            raise ValueError("theta LP is unbounded: a generator exponent vector is zero")
+        basis[min(rows, key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]))] = enter
+
+
+def _monomial_exps(I, r):
+    """Exponent vectors of a monomial ideal's generators and of a monomial
+    r, checked: a nonempty proper ideal and matching variable counts."""
+    gen_exps = [_exps_of(m) for m in I]
+    if not gen_exps:
+        raise ValueError("need a nonempty monomial generating set")
+    if any(sum(v) == 0 for v in gen_exps):
+        raise ValueError("not a proper ideal")
+    w = _exps_of(r)
+    if any(len(v) != len(w) for v in gen_exps):
+        raise ValueError("variable count mismatch")
+    return gen_exps, w
 
 
 def theta_monomial(I, r) -> Fraction:
@@ -220,25 +224,14 @@ def theta_monomial(I, r) -> Fraction:
     For a monomial ideal the sup equals the optimum of the rational linear
     program over the Newton polyhedron and is attained, hence rational.
     """
-    gen_exps = [_exps_of(m) for m in I]
-    if not gen_exps:
-        raise ValueError("need a nonempty monomial generating set")
-    if any(sum(v) == 0 for v in gen_exps):
-        raise ValueError("not a proper ideal")
-    w = _exps_of(r)
-    if len(w) != len(gen_exps[0]):
-        raise ValueError("variable count mismatch")
-    return _theta_lp(gen_exps, w)
+    return _theta_lp(*_monomial_exps(I, r))
 
 
 def monomial_closure_member(I, m: int, u) -> bool:
     """Is X^u in the integral closure of I^m (I monomial), by Newton
     polyhedron rounding: u must dominate a rational combination of the
     generator exponents with weights summing to m."""
-    gen_exps = [_exps_of(g) for g in I]
-    if any(sum(v) == 0 for v in gen_exps):
-        raise ValueError("not a proper ideal")
-    return _theta_lp(gen_exps, _exps_of(u)) >= m
+    return _theta_lp(*_monomial_exps(I, u)) >= m
 
 
 # ---------------------------------------------------------------------------

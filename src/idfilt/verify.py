@@ -44,10 +44,13 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, ok: bool, detail: str = ""):
+    def check(self, ok: bool, detail: str = "", *args):
+        """Count one instance; on failure record detail.format(*args), which
+        is built only then, so passing checks pay no formatting."""
         self.instances += 1
         if not ok:
-            self.failures.append(detail or f"instance {self.instances}")
+            self.failures.append(detail.format(*args) if args
+                                 else detail or f"instance {self.instances}")
 
     def line(self) -> str:
         mark = "pass" if self.passed else "FAIL"
@@ -159,7 +162,7 @@ def suite_hasse_basis(rng) -> SuiteResult:
                     want = (Poly.zero(F, d) if F.is_zero(b) or any(
                         j > i for i, j in zip(I, J))
                         else Poly.monomial(F, d, mi_sub(I, J), b))
-                    res.check(got == want, f"I={I} J={J} over {F}")
+                    res.check(got == want, "I={} J={} over {}", I, J, F)
     return res
 
 
@@ -173,7 +176,7 @@ def suite_product_rule(rng) -> SuiteResult:
             f = rand_poly(rng, F, d, 6, terms=4, nonzero=False)
             g = rand_poly(rng, F, d, 6, terms=4, nonzero=False)
             J = rand_exps(rng, d, 4)
-            res.check(product_rule_check(f, g, J), f"J={J} over {F}")
+            res.check(product_rule_check(f, g, J), "J={} over {}", J, F)
     return res
 
 
@@ -194,7 +197,7 @@ def suite_lucas(rng) -> SuiteResult:
                     res.check(
                         fields_mod.binom_mod_p(q * i, q * j, p)
                         == fields_mod.binom_mod_p(i, j, p),
-                        f"C({q}*{i},{q}*{j}) vs C({i},{j}) mod {p}")
+                        "C({0}*{1},{0}*{2}) vs C({1},{2}) mod {3}", q, i, j, p)
     return res
 
 
@@ -207,11 +210,11 @@ def suite_field_axioms(rng) -> SuiteResult:
         for _ in range(60):
             a, b, c = (rand_scalar(rng, F) for _ in range(3))
             res.check(F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c)),
-                      f"distributivity over {F}")
+                      "distributivity over {}", F)
             res.check(F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c)),
-                      f"associativity over {F}")
+                      "associativity over {}", F)
             if not F.is_zero(a):
-                res.check(F.mul(a, F.inv(a)) == F.one(), f"inverse over {F}")
+                res.check(F.mul(a, F.inv(a)) == F.one(), "inverse over {}", F)
         if F.char and F.p ** F.m <= 81 and F.kind != "rationals":
             elements = F.elements()
             for e in (1, 2):
@@ -220,8 +223,8 @@ def suite_field_axioms(rng) -> SuiteResult:
                     r = F.frobenius_root(x, e)
                     seen.add(r)
                     res.check(F.pow(r, F.char ** e) == x,
-                              f"frobenius root of {x} over {F}")
-                res.check(len(seen) == len(elements), f"frobenius bijective {F}")
+                              "frobenius root of {} over {}", x, F)
+                res.check(len(seen) == len(elements), "frobenius bijective {}", F)
     return res
 
 
@@ -235,7 +238,7 @@ def suite_pe_roots(rng) -> SuiteResult:
             maxdeg = 24 // p ** e
             g = rand_poly(rng, F, rng.choice([1, 2]), max(1, maxdeg), terms=3)
             f = g.pow(p ** e)
-            res.check(f.pe_power_root(e) == g, f"root of power over {F}")
+            res.check(f.pe_power_root(e) == g, "root of power over {}", F)
         f = rand_poly(rng, F, 2, 4)
         res.check(f.pe_power_root(0) == f, "e=0 is the identity")
     # a non-power must be rejected
@@ -259,7 +262,7 @@ def suite_diffop_laws(rng) -> SuiteResult:
                                rand_exps(rng, d, 3)) for _ in range(2)])
             f = rand_poly(rng, F, d, 8, terms=5, nonzero=False)
             res.check(compose(d1, d2).apply(f) == d1.apply(d2.apply(f)),
-                      f"compose action over {F}")
+                      "compose action over {}", F)
             res.check(compose(d1, d2).degree <= d1.degree + d2.degree,
                       "degree additivity bound")
         for _ in range(40):
@@ -276,7 +279,7 @@ def suite_diffop_laws(rng) -> SuiteResult:
                 K = rand_exps(rng, d, 2)
                 lhs = hasse_apply(h.pow(p ** e), tuple(p ** e * k for k in K))
                 rhs = hasse_apply(h, K).pow(p ** e)
-                res.check(lhs == rhs, f"frobenius power identity over {F}")
+                res.check(lhs == rhs, "frobenius power identity over {}", F)
         # logarithmic invariance: images of boundary powers stay inside
         ctxb = TruncationContext(F, d, 8, frozenset({0}))
         bnd = Poly.variable(F, d, 0)
@@ -286,7 +289,7 @@ def suite_diffop_laws(rng) -> SuiteResult:
                 g = rand_poly(rng, F, d, 4, 2, nonzero=False)
                 img = log_apply(bnd.pow(t).mul_trunc(g, ctxb.D), J, ctxb)
                 res.check(membership(img, It),
-                          f"log operator leaves (x^{t}) stable over {F}")
+                          "log operator leaves (x^{}) stable over {}", t, F)
     return res
 
 
@@ -305,8 +308,9 @@ def suite_pe_power_generated(rng) -> SuiteResult:
         gens = [rand_poly(rng, F, d, max(1, D // q), terms=2).pow(q)
                 for _ in range(rng.choice([1, 2]))]
         ctx = TruncationContext(F, d, D)
-        res.check(is_pe_power_generated(gens, e, ctx),
-                  f"powers p={p} e={e} gens={[poly_str(g) for g in gens]}")
+        ok = is_pe_power_generated(gens, e, ctx)
+        res.check(ok, "powers p={} e={} gens={}", p, e,
+                  None if ok else [poly_str(g) for g in gens])
         count += 1
 
     # converse: exhaustive monomial antichains in 2 variables, degree <= p^2
@@ -335,7 +339,7 @@ def suite_pe_power_generated(rng) -> SuiteResult:
             gens = [Poly.monomial(F, 2, g) for g in combo]
             got = is_pe_power_generated(gens, e, ctx)
             want = brute_power_generated(combo, q)
-            res.check(got == want, f"monomial {combo} p={p} e={e}")
+            res.check(got == want, "monomial {} p={} e={}", combo, p, e)
     return res
 
 
@@ -353,7 +357,7 @@ def suite_ideal_order(rng) -> SuiteResult:
                 vanish = all(
                     hasse_apply(g, J).constant_term() == F.zero()
                     for g in gens for J in monomial_basis(2, n - 1)[0])
-                res.check(vanish == got.ge(n), f"n={n} gens over {F}")
+                res.check(vanish == got.ge(n), "n={} gens over {}", n, F)
     return res
 
 
@@ -368,7 +372,7 @@ def suite_gls_laws(rng) -> SuiteResult:
             extra = gens[0].mul_trunc(rand_poly(rng, F, 2, 2, 2, nonzero=False),
                                       ctx.D) + gens[1]
             S2 = ideal_image(gens + [extra], ctx)
-            res.check(S.equals(S2), f"idempotence over {F}")
+            res.check(S.equals(S2), "idempotence over {}", F)
             # x_i * member stays a member
             f = gens[0]
             if f.degree() + 1 <= ctx.D:
@@ -379,7 +383,7 @@ def suite_gls_laws(rng) -> SuiteResult:
             s = A.sum_with(B)
             t = A.intersect(B)
             res.check(A.dim + B.dim == s.dim + t.dim,
-                      f"dimension formula over {F}")
+                      "dimension formula over {}", F)
             # per-degree dimension formula for homogeneous spans
             Ah = GradedSubspace.from_polys(
                 ctx, [rand_poly(rng, F, 2, 3, 2).graded_component(2) for _ in range(2)])
@@ -405,7 +409,7 @@ def suite_filtration_laws(rng) -> SuiteResult:
                 Ia = spec.ideal_at_level(a)
                 b = a + Fraction(1, delta)
                 res.check(Ia.contains_subspace(spec.ideal_at_level(b)),
-                          f"monotone at {a} over {F}")
+                          "monotone at {} over {}", a, F)
                 # step function: nothing changes strictly between grid points
                 mid = a + Fraction(1, 2 * delta)
                 res.check(spec.ideal_at_level(mid).equals(
@@ -415,7 +419,7 @@ def suite_filtration_laws(rng) -> SuiteResult:
             for f in Ia.basis_polys()[:3]:
                 for g in Ib.basis_polys()[:3]:
                     res.check(membership(f.mul_trunc(g, spec.ctx.D), Iab),
-                              f"multiplicativity over {F}")
+                              "multiplicativity over {}", F)
             # brute multiplicity: sampled elements never beat the generator min
             mu = spec.mu_P()
             if mu.is_exact:
@@ -443,9 +447,9 @@ def suite_d_saturation(rng) -> SuiteResult:
         dds = d_saturate(ds)
         for a in spec.grid_levels(3):
             res.check(ds.ideal_at_level(a).equals(dds.ideal_at_level(a)),
-                      f"idempotence at {a}")
+                      "idempotence at {}", a)
             res.check(ds.ideal_at_level(a).contains_subspace(
-                spec.ideal_at_level(a)), f"enlargement at {a}")
+                spec.ideal_at_level(a)), "enlargement at {}", a)
         for f, a in ds.gens:
             top = math.ceil(a) - 1
             for J in monomial_basis(spec.ctx.nvars, max(top, 0))[0]:
@@ -480,7 +484,7 @@ def suite_radical_probe(rng) -> SuiteResult:
                 verdict = radical_probe(spec, Poly.monomial(F, 2, r), a, bounds)
                 if verdict.member:
                     res.check(a <= true_level,
-                              f"unsound member at {a} > theta*L={true_level}")
+                              "unsound member at {} > theta*L={}", a, true_level)
                     continue
                 # cross-check against brute integer feasibility at the grid
                 b = Fraction(math.ceil(a * bounds.grid) - 1, bounds.grid)
@@ -494,7 +498,7 @@ def suite_radical_probe(rng) -> SuiteResult:
                         witness = True
                         break
                 res.check(not witness,
-                          f"probe missed an integral witness at level {a}")
+                          "probe missed an integral witness at level {}", a)
         # frobenius probe members must also be radical members
         for _ in range(10):
             g = rand_poly(rng, F, 2, 2, 2, min_ord=1)
@@ -544,7 +548,7 @@ def suite_ds_sd_interchange(rng) -> SuiteResult:
                 continue
             verdict = radical_probe(ds, g, lvl, bounds)
             res.check(verdict.member,
-                      f"derivative d_{J} fails to re-certify at {lvl}")
+                      "derivative d_{} fails to re-certify at {}", J, lvl)
     return res
 
 
@@ -575,7 +579,7 @@ def suite_theta(rng) -> SuiteResult:
         brute = brute_theta(gens, w)
         res.check(brute <= theta, "brute force cannot exceed the exact value")
         if theta.denominator <= 30:
-            res.check(theta == brute, f"I={gens} r={w}: {theta} vs {brute}")
+            res.check(theta == brute, "I={} r={}: {} vs {}", gens, w, theta, brute)
             checked += 1
         # closure rounding: r^n in closure(I^m) iff m/n <= theta
         n = rng.randint(1, 6)
@@ -586,8 +590,8 @@ def suite_theta(rng) -> SuiteResult:
                 [Poly.monomial(F, d, g) for g in gens], m,
                 tuple(n * c for c in w))
             res.check(member == (Fraction(m, n) <= theta),
-                      f"closure membership at m/n={m}/{n}")
-    res.check(checked >= 50, f"only {checked} brute-comparable instances drawn")
+                      "closure membership at m/n={}/{}", m, n)
+    res.check(checked >= 50, "only {} brute-comparable instances drawn", checked)
     # the pinned instance
     got = theta_monomial([Poly.monomial(F, 2, (2, 0)), Poly.monomial(F, 2, (0, 3))],
                          Poly.monomial(F, 2, (1, 1)))
@@ -639,7 +643,7 @@ def suite_localization_regression(rng) -> SuiteResult:
         spec = FiltrationSpec(ctx, gens)
         verdict = radical_probe(spec, y, 1, bounds)
         res.check(not verdict.member,
-                  f"(y,1) must stay undetected with {i} generators")
+                  "(y,1) must stay undetected with {} generators", i)
     return res
 
 
@@ -690,7 +694,7 @@ def suite_leading_pure(rng) -> SuiteResult:
             span = GradedSubspace.from_polys(ctx, lifted)
             basis, _ = pure_part(L, e)
             res.check(span.dim == len(basis) and all(map(span.contains_poly, basis)),
-                      f"lifts form a pure basis at e={e}")
+                      "lifts form a pure basis at e={}", e)
         # pure generation: monomials in the initial forms span L degree-wise
         for n in range(1, ctx.D + 1):
             prods = []
@@ -714,7 +718,7 @@ def suite_leading_pure(rng) -> SuiteResult:
             span = GradedSubspace.from_polys(ctx, prods)
             target = L.piece(n)
             res.check(span.equals(target),
-                      f"pure generation fails in degree {n} for {spec}")
+                      "pure generation fails in degree {} for {}", n, spec)
         # purity via composite operators: all proper splittings kill entries
         for h, e in lgs:
             q = p ** e
@@ -739,18 +743,18 @@ def suite_sigma_mu(rng) -> SuiteResult:
     wk = Poly(F2, 2, {(2, 0): 1, (0, 3): 1})  # x^2 + y^3
     Fd = d_saturate(FiltrationSpec(ctx, [(wk, Fraction(2))]))
     lgs, sig, _ = extract_lgs(Fd)
-    res.check(sig.trimmed() == [2, 1, 1], f"char-2 sigma {sig.trimmed()}")
+    res.check(sig.trimmed() == [2, 1, 1], "char-2 sigma {}", sig.trimmed())
     res.check(len(lgs) == 1 and lgs.entries[0][1] == 1,
               "char-2 system: one entry at e=1")
     H = HSystem.from_lgs(ctx, lgs)
     mt = mu_tilde(Fd, H)
-    res.check(mt.is_exact and mt.q == 2, f"char-2 mu_tilde {mt}")
+    res.check(mt.is_exact and mt.q == 2, "char-2 mu_tilde {}", mt)
 
     ctx0 = TruncationContext(QQ, 2, 10)
     wk0 = Poly(QQ, 2, {(2, 0): Fraction(1), (0, 3): Fraction(1)})
     Fd0 = d_saturate(FiltrationSpec(ctx0, [(wk0, Fraction(2))]))
     lgs0, sig0, _ = extract_lgs(Fd0)
-    res.check(list(sig0.values) == [1], f"char-0 sigma {sig0.values}")
+    res.check(list(sig0.values) == [1], "char-0 sigma {}", sig0.values)
     res.check(len(lgs0) == 1 and lgs0.entries[0][1] == 0,
               "char-0 system at e=0")
 
@@ -780,7 +784,7 @@ def suite_sigma_mu(rng) -> SuiteResult:
                  for h, e_ in lgs2.entries])
             m1 = mu_tilde(spec, H1)
             m2 = mu_tilde(spec, H2)
-            res.check(m1 == m2, f"mu_tilde differs across systems: {m1} vs {m2}")
+            res.check(m1 == m2, "mu_tilde differs across systems: {} vs {}", m1, m2)
     return res
 
 
@@ -804,9 +808,9 @@ def suite_supporting_laws(rng) -> SuiteResult:
                 beta = rand_poly(rng, F, ctx.nvars, 5, 3, min_ord=r)
                 l = rng.randrange(len(H.entries))
                 res.check(supporting1_check(H, beta, l, u, r),
-                          f"D_u rule u={u} l={l}")
+                          "D_u rule u={} l={}", u, l)
         for r in range(0, min(ctx.D, 8) + 1, 2):
-            res.check(supporting3_check(H, r), f"meet law r={r}")
+            res.check(supporting3_check(H, r), "meet law r={}", r)
         if (bound is None and len(H.entries) >= 1) or (bound is not None and bound > 1):
             v = 1 if bound is None else min(bound - 1, 2)
             if v >= 1:
@@ -818,7 +822,7 @@ def suite_supporting_laws(rng) -> SuiteResult:
                 for bl, hl in zip(betas, H.normalized):
                     alpha = alpha - bl.mul_trunc(hl, ctx.D)
                 res.check(supporting2_check(H, alpha, betas, v, s),
-                          f"F_v rewriting v={v} s={s}")
+                          "F_v rewriting v={} s={}", v, s)
     return res
 
 
@@ -840,7 +844,7 @@ def suite_coefficient_decomposition(rng) -> SuiteResult:
             continue
         for a in (Fraction(1), Fraction(3, 2), Fraction(2)):
             res.check(coefficient_decompose_check(spec, H, a, mu),
-                      f"decomposition at level {a} (p={p}, d={d})")
+                      "decomposition at level {} (p={}, d={})", a, p, d)
         built += 1
     return res
 

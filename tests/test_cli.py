@@ -154,6 +154,11 @@ PINNED_REPORTS = {
     "gf3_d4_D10": ("field: GF(3)\nvars: x, y, z, w\ntruncation: 10\n"
                    "gen: x^3 + y^4 + z^5 @ 3\ngen: x*y*z @ 2\n",
                    "e046f58adb86ea52919c190c33a9ff164e55c383efc158b3b4fa5c38607dcee1"),
+    # all generators monomial: the probe's exact theta candidates feed the
+    # report, one theta LP each (up to 7 generators in 3 variables)
+    "gf3_monomial": ("field: GF(3)\nvars: x, y, z\ntruncation: 12\n"
+                     "gen: x^3 @ 2\ngen: y^4 @ 3\ngen: z^5 @ 1\ngen: x*y*z @ 2\n",
+                     "6f14970110bad8666ffb95b4bb2824f4306475fde5afec2f4db85c3abe25c34a"),
 }
 
 

@@ -1,15 +1,18 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from idfilt.filtration import FiltrationSpec, ideal_at_level
-from idfilt.gls import membership
+from idfilt.gls import membership, rref
 from idfilt.poly import Poly, poly_str
-from idfilt.saturation import (ProbeVerdict, RadicalProbeBounds,
+from idfilt.saturation import (ProbeVerdict, RadicalProbeBounds, _theta_lp,
                                b_saturate_probe, d_saturate, d_saturate_log,
                                frobenius_probe, monomial_closure_member,
                                radical_probe, theta_monomial)
-from idfilt.fields import FieldError
+from idfilt.fields import FieldError, RationalField
 from tests.conftest import ctx_of, mk
 
 
@@ -112,6 +115,121 @@ def test_theta_errors(QQ):
         theta_monomial([], mk(QQ, "x"))
     with pytest.raises(ValueError):
         theta_monomial([mk(QQ, "x + y")], mk(QQ, "x"))
+
+
+@pytest.mark.parametrize("check", [
+    lambda I, r: theta_monomial(I, r),
+    lambda I, r: monomial_closure_member(I, 1, r),
+], ids=["theta_monomial", "monomial_closure_member"])
+def test_monomial_input_checks_agree(QQ, check):
+    x = mk(QQ, "x")
+    with pytest.raises(ValueError, match="need a nonempty monomial generating set"):
+        check([], x)
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        check([x], (1, 0, 0))
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        check([(1, 0, 0)], x)
+    with pytest.raises(ValueError, match="not a proper ideal"):
+        check([Poly.one(QQ, 2)], x)
+
+
+def _theta_lp_enumeration(gen_exps, w):
+    """max sum(lam) subject to sum lam_i v_i <= w, lam >= 0, exactly.
+
+    Vertex enumeration over the basic solutions of the (bounded) feasible
+    polyhedron; sizes here are tiny, so exhaustive bases are fine.
+    """
+    vs = [tuple(v) for v in gen_exps]
+    # drop componentwise-dominated generators; they never help the maximum
+    keep = []
+    for v in sorted(set(vs)):
+        if not any(all(u[i] <= v[i] for i in range(len(v))) and u != v for u in vs):
+            keep.append(v)
+    vs = keep
+    s = len(vs)
+    d = len(w)
+    w = [Fraction(c) for c in w]
+    # constraint rows: d inequality rows (A lam <= w), s nonnegativity rows
+    rows = []
+    for i in range(d):
+        rows.append(([Fraction(v[i]) for v in vs], w[i]))
+    for j in range(s):
+        e = [Fraction(0)] * s
+        e[j] = Fraction(1)
+        rows.append((e, Fraction(0)))
+    best = Fraction(0)
+    QQ = RationalField()
+    for combo in itertools.combinations(range(len(rows)), s):
+        red, piv = rref(QQ, [rows[i][0] + [rows[i][1]] for i in combo])
+        if piv != list(range(s)):  # singular basis: no vertex
+            continue
+        lam = [row[s] for row in red]
+        if any(x < 0 for x in lam):
+            continue
+        ok = True
+        for coeffs, bound in rows[:d]:
+            if sum(c * x for c, x in zip(coeffs, lam)) > bound:
+                ok = False
+                break
+        if ok:
+            best = max(best, sum(lam))
+    return best
+
+
+THETA_LP = settings(max_examples=300, derandomize=True, database=None, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def theta_lps(draw):
+    """(generator exponents, w, n): d in 1..4 variables, 1..6 generators, some
+    of them repeats of or componentwise above earlier ones, and a w whose
+    coordinates may be zero, which makes ratio-test ties at ratio 0."""
+    d = draw(st.integers(1, 4))
+    nonzero = st.tuples(*[st.integers(0, 4)] * d).filter(any)
+    gens = [draw(nonzero)]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["new", "duplicate", "dominated"]))
+        if kind == "new":
+            gens.append(draw(nonzero))
+            continue
+        u = draw(st.sampled_from(gens))
+        if kind == "dominated":
+            u = tuple(c + draw(st.integers(0, 2)) for c in u)
+        gens.append(u)
+    w = draw(st.tuples(*[st.integers(0, 6)] * d))
+    return gens, w, draw(st.integers(2, 5))
+
+
+@THETA_LP
+@given(theta_lps())
+# (1,1) enters first with ratios 2/1 and 2/1: a tie, left to the lower slack
+@example(([(1, 1), (2, 0), (0, 2)], (2, 2), 2))
+# every ratio is 0: a degenerate pivot at the zero vertex
+@example(([(1, 1), (1, 2)], (0, 0), 3))
+# w = 0 in one coordinate caps every generator that uses it
+@example(([(1, 0, 1), (0, 1, 0), (1, 1, 1), (1, 1, 1)], (3, 2, 0), 2))
+def test_theta_lp_matches_vertex_enumeration(lp):
+    gens, w, n = lp
+    got = _theta_lp(gens, w)
+    assert type(got) is Fraction
+    assert got == _theta_lp_enumeration(gens, w)
+    assert _theta_lp(gens, tuple(n * c for c in w)) == n * got
+
+
+def test_theta_lp_examples():
+    assert _theta_lp([(1, 1), (2, 0), (0, 2)], (2, 2)) == 2
+    assert _theta_lp([(2, 0), (0, 3)], (1, 1)) == Fraction(5, 6)
+    assert _theta_lp([(1, 1), (1, 2)], (0, 0)) == 0
+    assert _theta_lp([(3,)], (7,)) == Fraction(7, 3)
+
+
+def test_theta_lp_unbounded():
+    # a zero exponent vector is the unit ideal: lam grows without bound
+    with pytest.raises(ValueError, match="unbounded"):
+        _theta_lp([(0, 0)], (1, 1))
+    with pytest.raises(ValueError, match="unbounded"):
+        _theta_lp([(1, 2), (0, 0)], (1, 1))
 
 
 def test_monomial_closure_member(QQ):
