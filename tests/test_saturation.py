@@ -118,7 +118,7 @@ def test_theta_errors(QQ):
 
 
 @pytest.mark.parametrize("check", [
-    lambda I, r: theta_monomial(I, r),
+    theta_monomial,
     lambda I, r: monomial_closure_member(I, 1, r),
 ], ids=["theta_monomial", "monomial_closure_member"])
 def test_monomial_input_checks_agree(QQ, check):
