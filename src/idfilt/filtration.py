@@ -64,12 +64,7 @@ class FiltrationSpec:
         """Positive multiples of 1/denominator up to the truncation degree."""
         top = Fraction(self.ctx.D if up_to is None else up_to)
         delta = self.grid_denominator
-        out = []
-        k = 1
-        while Fraction(k, delta) <= top:
-            out.append(Fraction(k, delta))
-            k += 1
-        return out
+        return [Fraction(k, delta) for k in range(1, math.floor(top * delta) + 1)]
 
     def __eq__(self, other):
         return (isinstance(other, FiltrationSpec) and self.ctx == other.ctx

@@ -454,12 +454,9 @@ def subspace_intersect(S1: GradedSubspace, S2: GradedSubspace) -> GradedSubspace
 
 def power_m(n: int, ctx: TruncationContext) -> GradedSubspace:
     """Image of m^n: full ring when n <= 0, zero space beyond D."""
-    mons, _, degree_of = monomial_basis(ctx.nvars, ctx.D)
-    n = max(n, 0)
-    if n > ctx.D:
-        return GradedSubspace.zero(ctx)
-    cols = [i for i in range(len(mons)) if degree_of[i] >= n]
-    rows = _matrix(ctx.field, (len(cols), len(mons)))
-    for k, c in enumerate(cols):
-        rows[k, c] = ctx.field.one()
-    return GradedSubspace(ctx, rows, cols)
+    _, _, degree_of = monomial_basis(ctx.nvars, ctx.D)
+    start, N = bisect_left(degree_of, n), len(degree_of)
+    k = np.arange(N - start)
+    rows = _matrix(ctx.field, (N - start, N))
+    rows[k, start + k] = ctx.field.one()
+    return GradedSubspace(ctx, rows, range(start, N))

@@ -182,28 +182,24 @@ def mu_tilde(F: FiltrationSpec, H: HSystem) -> SatValue:
 # the operators D_u and F_v (in normalized coordinates)
 
 
-def _inverse_matrix_trunc(H: HSystem, M):
-    """Inverse of a matrix M of truncated ring elements whose constant part
-    is the identity (as du_matrix's is), by the terminating series
-    sum over k of (I - M)^k."""
+def _inverse_last_row(H: HSystem, M):
+    """Last row of M^-1, for a matrix M of truncated ring elements whose
+    constant part is the identity (as du_matrix's is), by the terminating
+    series e_L times the sum over k of (I - M)^k: one row times a matrix
+    per term."""
     ctx = H.ctx
     L = len(M)
     one = Poly.one(ctx.field, ctx.nvars)
     zero = Poly.zero(ctx.field, ctx.nvars)
-
-    def matmul(A, B):
-        return [[sum((A[i][k].mul_trunc(B[k][j], ctx.D) for k in range(L)), zero)
-                 for j in range(L)] for i in range(L)]
-
-    ident = [[one if i == j else zero for j in range(L)] for i in range(L)]
-    step = [[ident[i][j] - M[i][j] for j in range(L)] for i in range(L)]
+    step = [[(one if i == j else zero) - M[i][j] for j in range(L)] for i in range(L)]
     # I - M lies in m, so its powers vanish in the quotient by k = D + 1
-    series = term = ident
+    series = term = [one if j == L - 1 else zero for j in range(L)]
     for _ in range(ctx.D):
-        term = matmul(term, step)
-        if all(t.is_zero() for row in term for t in row):
+        term = [sum((term[k].mul_trunc(step[k][j], ctx.D) for k in range(L)), zero)
+                for j in range(L)]
+        if all(t.is_zero() for t in term):
             break
-        series = [[s + t for s, t in zip(rs, rt)] for rs, rt in zip(series, term)]
+        series = [s + t for s, t in zip(series, term)]
     return series
 
 
@@ -222,9 +218,9 @@ def du_matrix(H: HSystem):
 
 
 def build_Du(H: HSystem, u: int) -> DiffOp:
-    """The operator sum over |T|=u of c^T d_{X^(p^e T)}, with C the inverse
-    of the normalized-block matrix; acts in normalized coordinates.
-    D_0 is the identity and D_(-1) is zero by convention."""
+    """The operator sum over |T|=u of c^T d_{X^(p^e T)}, with c the last
+    row of the inverse of the normalized-block matrix; acts in normalized
+    coordinates.  D_0 is the identity and D_(-1) is zero by convention."""
     ctx = H.ctx
     if u < 0:
         return DiffOp.zero(ctx)
@@ -237,8 +233,7 @@ def build_Du(H: HSystem, u: int) -> DiffOp:
         raise ValueError("u out of range for this system")
     q = H.level(0)
     L = H.min_block
-    C = _inverse_matrix_trunc(H, du_matrix(H))
-    last = C[L - 1]
+    last = _inverse_last_row(H, du_matrix(H))
     summands = []
     mons, _, degree_of = monomial_basis(L, u)
     for T in mons[bisect_left(degree_of, u):]:  # the exponents of degree u
@@ -389,6 +384,9 @@ def coefficient_decompose_check(F: FiltrationSpec, H: HSystem, a, mu) -> bool:
             continue
         t = a - sum(b * H.level(l) for l, b in enumerate(B))
         it = F.ideal_at_level(t).meet_power_m(math.ceil(mu * t))
+        if not any(B):  # H^B = 1: the rows of I'_a as they are
+            rows += list(it.rows)
+            continue
         prods = (f.mul_trunc(hb, ctx.D) for f in it.basis_polys())
         rows += [poly_to_vec(g, ctx) for g in prods if not g.is_zero()]
     return GradedSubspace.from_vectors(ctx, rows).equals(lhs)

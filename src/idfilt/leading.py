@@ -178,7 +178,7 @@ def extract_lgs(F: FiltrationSpec, E_max: int | None = None):
     stabilized = False
     sigma_vals = []
     for e in range(E_max + 1):
-        _, roots = pure_part(L, e)
+        basis, roots = pure_part(L, e)
         rows = [linear_coefficients(v) for v in roots]
         sigma_vals.append(ctx.nvars - len(rows))
         # the chosen roots are independent, so they are the first pivots
@@ -189,7 +189,7 @@ def extract_lgs(F: FiltrationSpec, E_max: int | None = None):
         chain_ok = k + len(new) == len(rows)
         for i in new:
             chosen.append(rows[i - k])
-            entries.append((_lift_initial_form(F, roots[i - k], e), e))
+            entries.append((_lift_initial_form(F, basis[i - k]), e))
         # stabilized means chain equality at the last two computed levels
         stabilized = (prev_dim is not None and chain_ok and not new
                       and len(rows) == prev_dim)
@@ -199,13 +199,12 @@ def extract_lgs(F: FiltrationSpec, E_max: int | None = None):
     return lgs, sig, L
 
 
-def _lift_initial_form(F: FiltrationSpec, root: Poly, e: int) -> Poly:
-    """The element of the level ideal with initial form w = root^(p^e): w
-    minus its residue, which over the reduced basis is the combination of
-    the rows whose pivots w meets, at w's coefficients."""
-    p = F.ctx.field.char
-    q = p ** e if p else 1
-    w = root.pow(q) if q > 1 else root
+def _lift_initial_form(F: FiltrationSpec, w: Poly) -> Poly:
+    """The element of the level ideal I_q with initial form w, a pure-part
+    basis element of degree q: w minus its residue, which over the reduced
+    basis is the combination of the rows whose pivots w meets, at w's
+    coefficients."""
+    q = w.degree()
     h = w - F.ideal_at_level(q).reduce_poly(w)
     if h.graded_component(q) != w:
         raise RuntimeError("initial form is not realized by the level ideal")

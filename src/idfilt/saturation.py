@@ -203,9 +203,16 @@ def _theta_lp(gen_exps, w):
         basis[min(rows, key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]))] = enter
 
 
-def _monomial_exps(I, r):
-    """Exponent vectors of a monomial ideal's generators and of a monomial
-    r, checked: a nonempty proper ideal and matching variable counts."""
+def theta_monomial(I, r) -> Fraction:
+    """Asymptotic order sup{m/n : r^n in I^m} of a monomial r along a
+    monomial ideal I, computed exactly.
+
+    For a monomial ideal the sup equals the optimum of the rational linear
+    program over the Newton polyhedron and is attained, hence rational.  So
+    X^u lies in the integral closure of I^m exactly when
+    theta_monomial(I, u) >= m.  I must be a nonempty proper ideal whose
+    generators have as many variables as r.
+    """
     gen_exps = [_exps_of(m) for m in I]
     if not gen_exps:
         raise ValueError("need a nonempty monomial generating set")
@@ -214,24 +221,7 @@ def _monomial_exps(I, r):
     w = _exps_of(r)
     if any(len(v) != len(w) for v in gen_exps):
         raise ValueError("variable count mismatch")
-    return gen_exps, w
-
-
-def theta_monomial(I, r) -> Fraction:
-    """Asymptotic order sup{m/n : r^n in I^m} of a monomial r along a
-    monomial ideal I, computed exactly.
-
-    For a monomial ideal the sup equals the optimum of the rational linear
-    program over the Newton polyhedron and is attained, hence rational.
-    """
-    return _theta_lp(*_monomial_exps(I, r))
-
-
-def monomial_closure_member(I, m: int, u) -> bool:
-    """Is X^u in the integral closure of I^m (I monomial), by Newton
-    polyhedron rounding: u must dominate a rational combination of the
-    generator exponents with weights summing to m."""
-    return _theta_lp(*_monomial_exps(I, u)) >= m
+    return _theta_lp(gen_exps, w)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,7 @@ from .invariants import (HSystem, coefficient_decompose_check,
 from .leading import extract_lgs, linear_coefficients, pure_part
 from .poly import Poly, TruncationContext, mi_sub, poly_str
 from .saturation import (RadicalProbeBounds, b_saturate_probe, d_saturate,
-                         frobenius_probe, radical_probe, theta_monomial,
-                         monomial_closure_member)
+                         frobenius_probe, radical_probe, theta_monomial)
 
 
 @dataclass
@@ -581,15 +580,13 @@ def suite_theta(rng) -> SuiteResult:
         if theta.denominator <= 30:
             res.check(theta == brute, "I={} r={}: {} vs {}", gens, w, theta, brute)
             checked += 1
-        # closure rounding: r^n in closure(I^m) iff m/n <= theta
+        # closure rounding: r^n in closure(I^m) iff theta(I; r^n) >= m,
+        # and that holds iff m/n <= theta
         n = rng.randint(1, 6)
-        for m in range(0, 7):
-            if m == 0:
-                continue
-            member = monomial_closure_member(
-                [Poly.monomial(F, d, g) for g in gens], m,
-                tuple(n * c for c in w))
-            res.check(member == (Fraction(m, n) <= theta),
+        theta_n = theta_monomial([Poly.monomial(F, d, g) for g in gens],
+                                 tuple(n * c for c in w))
+        for m in range(1, 7):
+            res.check((theta_n >= m) == (Fraction(m, n) <= theta),
                       "closure membership at m/n={}/{}", m, n)
     res.check(checked >= 50, "only {} brute-comparable instances drawn", checked)
     # the pinned instance
@@ -707,12 +704,11 @@ def suite_leading_pure(rng) -> SuiteResult:
                     return
                 walk(i + 1, cur, deg)
                 f, q = forms[i]
-                k, acc, dd = 1, cur, deg
+                acc, dd = cur, deg
                 while dd + q <= n:
                     acc = acc.mul_trunc(f, ctx.D)
                     dd += q
                     walk(i + 1, acc, dd)
-                    k += 1
 
             walk(0, Poly.one(F, ctx.nvars), 0)
             span = GradedSubspace.from_polys(ctx, prods)
@@ -734,6 +730,11 @@ def suite_leading_pure(rng) -> SuiteResult:
                     res.check(g.constant_term() == F.zero(),
                               "composite operators keep entries in m")
     return res
+
+
+def _swap_xy(f: Poly) -> Poly:
+    """f in two variables with the variables exchanged."""
+    return Poly(f.field, 2, {(e[1], e[0]): c for e, c in f.terms.items()})
 
 
 def suite_sigma_mu(rng) -> SuiteResult:
@@ -768,20 +769,13 @@ def suite_sigma_mu(rng) -> SuiteResult:
                 res.instances += 1
                 continue
             H1 = HSystem.from_lgs(spec.ctx, lgs1)
-            # alternative system: same extraction after permuting variables
-            perm = [1, 0]
-            swapped = FiltrationSpec(
-                spec.ctx,
-                [(Poly(F, 2, {(e[1], e[0]): c for e, c in f.terms.items()}), a)
-                 for f, a in spec.gens])
+            # alternative system: same extraction after swapping the variables
+            swapped = FiltrationSpec(spec.ctx, [(_swap_xy(f), a) for f, a in spec.gens])
             lgs2, _, _ = extract_lgs(swapped)
             if not lgs2.entries:
                 res.instances += 1
                 continue
-            H2 = HSystem(
-                spec.ctx,
-                [(Poly(F, 2, {(e[1], e[0]): c for e, c in h.terms.items()}), e_)
-                 for h, e_ in lgs2.entries])
+            H2 = HSystem(spec.ctx, [(_swap_xy(h), e_) for h, e_ in lgs2.entries])
             m1 = mu_tilde(spec, H1)
             m2 = mu_tilde(spec, H2)
             res.check(m1 == m2, "mu_tilde differs across systems: {} vs {}", m1, m2)

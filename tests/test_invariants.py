@@ -7,8 +7,8 @@ import pytest
 
 from idfilt.fields import ExtensionField, PrimeField
 from idfilt.filtration import FiltrationSpec
-from idfilt.gls import ideal_image
-from idfilt.invariants import (HSystem, _inverse_matrix_trunc, build_Du,
+from idfilt.gls import GradedSubspace, ideal_image, monomial_basis, poly_to_vec
+from idfilt.invariants import (HSystem, _b_range, _h_power, _inverse_last_row, build_Du,
                                coefficient_decompose_check, du_matrix,
                                coefficient_default_mu, mu_tilde,
                                nonsingularity_check, ord_H,
@@ -17,7 +17,7 @@ from idfilt.invariants import (HSystem, _inverse_matrix_trunc, build_Du,
 from idfilt.leading import extract_lgs
 from idfilt.poly import Poly, poly_str
 from idfilt.saturation import b_saturate_probe, d_saturate
-from idfilt.verify import rand_hsystem
+from idfilt.verify import rand_hsystem, rand_poly
 from tests.conftest import ctx_of, mk
 
 
@@ -331,11 +331,37 @@ def test_generated_by_h_failing_levels(F2, QQ):
         assert rep["generated_by_h"]["failing_levels"] == want == ["3", "4", "5", "6"]
 
 
+def reference_inverse_matrix_trunc(H: HSystem, M):
+    """Inverse of a matrix M of truncated ring elements whose constant part
+    is the identity (as du_matrix's is), by the terminating series
+    sum over k of (I - M)^k."""
+    ctx = H.ctx
+    L = len(M)
+    one = Poly.one(ctx.field, ctx.nvars)
+    zero = Poly.zero(ctx.field, ctx.nvars)
+
+    def matmul(A, B):
+        return [[sum((A[i][k].mul_trunc(B[k][j], ctx.D) for k in range(L)), zero)
+                 for j in range(L)] for i in range(L)]
+
+    ident = [[one if i == j else zero for j in range(L)] for i in range(L)]
+    step = [[ident[i][j] - M[i][j] for j in range(L)] for i in range(L)]
+    # I - M lies in m, so its powers vanish in the quotient by k = D + 1
+    series = term = ident
+    for _ in range(ctx.D):
+        term = matmul(term, step)
+        if all(t.is_zero() for row in term for t in row):
+            break
+        series = [[s + t for s, t in zip(rs, rt)] for rs, rt in zip(series, term)]
+    return series
+
+
 @pytest.mark.parametrize("F", [PrimeField(2), PrimeField(3), PrimeField(5),
                                ExtensionField(2, 2), ExtensionField(3, 2)], ids=str)
 def test_du_matrix_is_identity_plus_maximal_ideal(F):
     # normalized coordinates make h_l = z_l^(p^e) + (higher order), so the
-    # series inverse needs no constant-part inverse
+    # series inverse needs no constant-part inverse; build_Du reads only the
+    # last row of the inverse, which must be the full series inverse's
     rng = random.Random(5)
     for _ in range(25):
         H = rand_hsystem(rng, F, 3, 8)
@@ -343,9 +369,64 @@ def test_du_matrix_is_identity_plus_maximal_ideal(F):
         L = len(M)
         ident = [[F.one() if i == j else F.zero() for j in range(L)] for i in range(L)]
         assert [[m.constant_term() for m in row] for row in M] == ident
-        C = _inverse_matrix_trunc(H, M)
+        C = reference_inverse_matrix_trunc(H, M)
         for i in range(L):
             for j in range(L):
                 prod = sum((C[i][k].mul_trunc(M[k][j], H.ctx.D) for k in range(L)),
                            Poly.zero(F, 3))
                 assert prod == (Poly.one(F, 3) if i == j else Poly.zero(F, 3))
+        last = _inverse_last_row(H, M)
+        assert last == C[L - 1]
+        for j in range(L):
+            prod = sum((last[k].mul_trunc(M[k][j], H.ctx.D) for k in range(L)),
+                       Poly.zero(F, 3))
+            assert prod == (Poly.one(F, 3) if j == L - 1 else Poly.zero(F, 3))
+
+
+def reference_decompose_check(F: FiltrationSpec, H: HSystem, a, mu) -> bool:
+    """coefficient_decompose_check as it was when every term, H^0 = 1
+    included, went through basis_polys, mul_trunc and poly_to_vec."""
+    ctx = F.ctx
+    a = Fraction(a)
+    mu = Fraction(mu)
+    mh = mu_tilde(F, H)
+    if not mh.is_infinite and mh.q <= mu:
+        raise ValueError("hypothesis violated: mu must be below mu_H")
+    lhs = F.ideal_at_level(a)
+    if a <= 0:
+        return lhs.dim == len(monomial_basis(ctx.nvars, ctx.D)[0])
+    rows = list(H.filtration().ideal_at_level(a).rows)
+    for B in _b_range(H, a):
+        hb = _h_power(H, B, ctx.D)
+        if hb.is_zero():
+            continue
+        t = a - sum(b * H.level(l) for l, b in enumerate(B))
+        it = F.ideal_at_level(t).meet_power_m(math.ceil(mu * t))
+        prods = (f.mul_trunc(hb, ctx.D) for f in it.basis_polys())
+        rows += [poly_to_vec(g, ctx) for g in prods if not g.is_zero()]
+    return GradedSubspace.from_vectors(ctx, rows).equals(lhs)
+
+
+def test_coefficient_decompose_matches_reference():
+    # the d-saturated H-generated filtration always decomposes; with one more
+    # generator, and not saturated, some levels fail, so both verdicts occur
+    rng = random.Random(11)
+    verdicts = []
+    for p in (2, 3):
+        F = PrimeField(p)
+        for _ in range(12):
+            d = rng.choice([2, 3])
+            H = rand_hsystem(rng, F, d, rng.choice([6, 8]))
+            gens = [(h, Fraction(p ** e)) for h, e in H.entries]
+            extra = (rand_poly(rng, F, d, 4, terms=2, min_ord=1),
+                     Fraction(rng.randint(1, 3), rng.choice([1, 2])))
+            for spec in (d_saturate(FiltrationSpec(H.ctx, gens)),
+                         FiltrationSpec(H.ctx, gens + [extra])):
+                mh, mu = mu_tilde(spec, H), coefficient_default_mu(spec, H, 64)
+                if not mh.is_infinite and mh.q <= mu:
+                    continue  # mu_H = 0: no mu lies below it
+                for a in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2)):
+                    got = coefficient_decompose_check(spec, H, a, mu)
+                    assert got == reference_decompose_check(spec, H, a, mu)
+                    verdicts.append(got)
+    assert True in verdicts and False in verdicts
