@@ -116,16 +116,22 @@ def test_theta_errors(QQ):
         theta_monomial([mk(QQ, "x + y")], mk(QQ, "x"))
 
 
-def test_theta_monomial_input_checks(QQ):
+# closure membership X^u in cl(I^m) is asked as theta_monomial(I, u) >= m,
+# so both ways of asking must reject the same bad inputs
+@pytest.mark.parametrize("check", [
+    theta_monomial,
+    lambda I, r: theta_monomial(I, r) >= 1,
+], ids=["theta_monomial", "monomial_closure_member"])
+def test_monomial_input_checks_agree(QQ, check):
     x = mk(QQ, "x")
     with pytest.raises(ValueError, match="need a nonempty monomial generating set"):
-        theta_monomial([], x)
+        check([], x)
     with pytest.raises(ValueError, match="variable count mismatch"):
-        theta_monomial([x], (1, 0, 0))
+        check([x], (1, 0, 0))
     with pytest.raises(ValueError, match="variable count mismatch"):
-        theta_monomial([(1, 0, 0)], x)
+        check([(1, 0, 0)], x)
     with pytest.raises(ValueError, match="not a proper ideal"):
-        theta_monomial([Poly.one(QQ, 2)], x)
+        check([Poly.one(QQ, 2)], x)
 
 
 def _theta_lp_enumeration(gen_exps, w):
