@@ -26,9 +26,9 @@ section 7):
    of A.
 
 When reconstruction or the certificate fails, the next prime is added.
-Values are handled once per distinct object: the input cells are grouped by
-identity, and each distinct nonzero output value is one shared Fraction;
-zero comes back as the int 0.
+Step 1 reads each input cell once, for its numerator and denominator, in one
+pass over the rows.  The output is handled per distinct value: each distinct
+nonzero value is one shared Fraction, and zero comes back as the int 0.
 
 reduce_generic computes the residue of one vector exactly, by object-array
 updates on the nonzero columns of each basis row.
@@ -68,33 +68,19 @@ def _prime(bound: int, i: int) -> int:
     return n
 
 
-def _distinct(rows):
-    """(values, index): the distinct objects among the cells of equal-length
-    rows, found by identity, and the position in values of each cell's
-    object, as a matrix.  Equal values held by different objects stay apart,
-    which costs only repeated work."""
-    ncols = len(rows[0])
-    ids = np.fromiter(map(id, chain.from_iterable(rows)), dtype=np.uintp,
-                      count=len(rows) * ncols)
-    _, first, index = np.unique(ids, return_index=True, return_inverse=True)
-    values = [rows[i][j] for i, j in zip(*np.divmod(first, ncols))]
-    return values, index.reshape(len(rows), ncols)
-
-
-def _integer_rows(values, index):
-    """(A, max |A|): the matrix values[index] with each row scaled by the lcm
-    of its denominators, which keeps its RREF.  A is int64 when every entry
-    fits, else an object array of Python ints."""
-    num = np.array([v.numerator for v in values], dtype=object)
-    den = np.array([v.denominator for v in values], dtype=object)
-    if (den == 1).all():
-        norm = max(map(abs, num), default=0)
-        return (num.astype(np.int64) if norm < _INT64_SAFE else num)[index], norm
-    d = den[index]
-    scale = np.array([lcm(*set(row)) for row in d.tolist()], dtype=object)
-    A = num[index] * (scale[:, None] // d)
-    norm = max(map(abs, A.ravel().tolist()), default=0)
-    return (A.astype(np.int64) if norm < _INT64_SAFE else A), norm
+def _integer_rows(rows):
+    """(A, max |A|): the matrix of equal-length rows with each row scaled by
+    the lcm of its denominators, which keeps its RREF.  A is int64 when every
+    entry fits, else an object array of Python ints."""
+    shape = len(rows), len(rows[0])
+    cells = list(chain.from_iterable(rows))
+    num = np.array([v.numerator for v in cells], dtype=object).reshape(shape)
+    den = np.array([v.denominator for v in cells], dtype=object).reshape(shape)
+    if not (den == 1).all():
+        scale = np.array([lcm(*set(row)) for row in den.tolist()], dtype=object)
+        num *= scale[:, None] // den
+    norm = max(map(abs, num.ravel().tolist()), default=0)
+    return (num.astype(np.int64) if norm < _INT64_SAFE else num), norm
 
 
 def _residues(A, p: int):
@@ -181,15 +167,16 @@ def _certified(A, norm, values, index, pivots) -> bool:
             return False
 
 
-def rref_generic(rows, field):
+def rref_generic(rows):
     """Canonical RREF over QQ of a nonempty list of equal-length rows of
-    rationals: Fractions, and ints for zero.
+    rationals: Fractions, and ints for zero.  Each cell's numerator and
+    denominator are read once.
 
     Returns (matrix, pivots): the nonzero RREF rows as an object array, one
     shared Fraction per distinct nonzero value and the int 0 for zero, and
     the pivot columns as ints.
     """
-    A, norm = _integer_rows(*_distinct(rows))
+    A, norm = _integer_rows(rows)
     best, kept = None, []
     for i in count():
         p = _prime(_ELIM_BOUND, i)

@@ -173,7 +173,7 @@ def _eliminate(field, mat):
     if field.char:
         red, piv = rref_mod_p(mat, field.p, field.tables)
         return red, piv.tolist()
-    return rref_generic(list(mat), field)
+    return rref_generic(list(mat))
 
 
 def _reduce(field, rows, pivots, v):

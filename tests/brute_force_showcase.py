@@ -219,6 +219,7 @@ def mu_tilde_brute(gens, hpoly, fld):
         vs = level_ideal_vectors(gens, a, fld)
         if not vs:
             continue
+        vs = rank(vs, fld)[1]  # echelon rows: the same span, fewer rows
         if member_mod_h(vs, hvecs, D + 1, fld):
             continue  # whole level inside (H): contributes infinity
         n = 0

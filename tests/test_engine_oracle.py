@@ -354,12 +354,14 @@ def test_certificate_rejects_tampered_candidates():
     rows = [[Fraction(2), Fraction(4), Fraction(1, 3), Fraction(5)],
             [Fraction(1), Fraction(5), Fraction(0), Fraction(-7, 2)],
             [Fraction(3), Fraction(9), Fraction(1, 3), Fraction(3, 2)]]
-    A, norm = _linalg._integer_rows(*_linalg._distinct(rows))
-    B, piv = _linalg.rref_generic(rows, QQ)
+    A, norm = _linalg._integer_rows(rows)
+    B, piv = _linalg.rref_generic(rows)
     assert (B.tolist(), piv) == gauss_jordan(QQ, rows)
 
     def certified(cand, pivots=piv):
-        return _linalg._certified(A, norm, *_linalg._distinct(cand), pivots)
+        # each candidate cell is its own value
+        index = np.arange(cand.size).reshape(cand.shape)
+        return _linalg._certified(A, norm, cand.ravel().tolist(), index, pivots)
 
     assert certified(B)
     q = _linalg._prime(isqrt((1 << 53) >> len(piv).bit_length()), 0)
