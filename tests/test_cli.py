@@ -147,6 +147,11 @@ PINNED_REPORTS = {
     "gf2_levels": ("field: GF(2)\nvars: x, y\ntruncation: 6\n"
                    "gen: x @ 1/3\ngen: y^2 @ 5/7\n",
                    "2cc4373179be974cbe5657ec97432efe7484c4dd6327092201d9777f51fc2ec2"),
+    # grid denominator 800: D*800 = 4,800 grid levels, and the nonsingularity
+    # check decides generation from the two generators without building one
+    "gf2_grid800": ("field: GF(2)\nvars: x, y\ntruncation: 6\n"
+                    "gen: x @ 1/800\ngen: x @ 1\n",
+                    "ee04357246935d1beb6360f90e9d370aa009ac8a9df56967e94c9c1b7d717899"),
     "qq_dense": ("field: QQ\nvars: x, y, z\ntruncation: 6\n"
                  "gen: x^2 + 2*x*y + 3*y^2 - x*z + 5*z^2 + y^3 @ 2\n"
                  "gen: x*y + y*z + z*x + x^3 - 7*y^3 @ 2\n",

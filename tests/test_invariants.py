@@ -315,13 +315,30 @@ def test_h_filtration_levels_match_h_monomials(F):
             assert H.filtration().ideal_at_level(a).equals(h_monomial_ideal(H, a))
 
 
-def test_generated_by_h_failing_levels(F2, QQ):
+def count_products(monkeypatch):
+    """The filtrations whose level ideals get built, one entry per
+    FiltrationSpec._minimal_products call (a level-cache miss)."""
+    built = []
+    minimal_products = FiltrationSpec._minimal_products
+
+    def counted(self, a):
+        built.append(self)
+        return minimal_products(self, a)
+
+    monkeypatch.setattr(FiltrationSpec, "_minimal_products", counted)
+    return built
+
+
+def test_generated_by_h_failing_levels(F2, QQ, monkeypatch):
     # I_3 = (x^2) is not inside (x^3), the H-monomials of weight >= 3
     for F in (F2, QQ):
         ctx = ctx_of(F, 2, 6)
         H = HSystem(ctx, [(mk(F, "x"), 0)])
         Fx = FiltrationSpec(ctx, [(mk(F, "x"), 1), (mk(F, "x^2"), 3)])
+        built = count_products(monkeypatch)
         rep = nonsingularity_check(Fx, H)
+        # the generator x^2 @ 3 fails, so every grid level of Fx is built
+        assert sum(s is Fx for s in built) == len(Fx.grid_levels()) == 6
         want = []
         for a in Fx.grid_levels():
             ref = h_monomial_ideal(H, a)
@@ -329,6 +346,65 @@ def test_generated_by_h_failing_levels(F2, QQ):
             if not ref.contains_subspace(Fx.ideal_at_level(a)):
                 want.append(str(a))
         assert rep["generated_by_h"]["failing_levels"] == want == ["3", "4", "5", "6"]
+
+
+def test_generated_by_h_builds_no_grid_level(F2, monkeypatch):
+    # x @ 1/800 and x @ 1 at D = 6: a grid of 4,800 levels, and both
+    # generators lie in H's level ideals, so none of them is built
+    ctx = ctx_of(F2, 2, 6)
+    sat, _ = b_saturate_probe(FiltrationSpec(
+        ctx, [(mk(F2, "x"), Fraction(1, 800)), (mk(F2, "x"), 1)]))
+    lgs, _, _ = extract_lgs(sat)
+    H = HSystem.from_lgs(ctx, lgs)
+    Fx = FiltrationSpec(ctx, sat.gens)  # a fresh level cache
+    assert len(Fx.grid_levels()) == 4800
+    built = count_products(monkeypatch)
+    rep = nonsingularity_check(Fx, H, probe_saturated=True)
+    assert rep["passed"] and rep["generated_by_h"]["failing_levels"] == []
+    assert not any(s is Fx for s in built)
+    assert 0 < len(built) <= len(Fx.gens)
+
+
+def reference_generated_by_h(F, H):
+    """The grid loop: compare the level ideals at every grid level."""
+    HF = H.filtration()
+    fail = [a for a in F.grid_levels()
+            if not HF.ideal_at_level(a).contains_subspace(F.ideal_at_level(a))]
+    return {"ok": not fail, "failing_levels": [str(a) for a in fail]}
+
+
+def test_generated_by_h_matches_grid_reference(QQ):
+    # F from multiples r*h_l, so mu_H is infinite; a random multiple at a
+    # level above that of h_l, or above D, mostly lies outside H's level
+    # ideal, so both the generator test and the grid fallback decide
+    rng = random.Random(17)
+    qq_systems = [["x + y^2"], ["x - 2*y + x*y", "y + 3*x^2"]]
+    seen = set()
+    for F in (PrimeField(2), PrimeField(3), QQ):
+        for _ in range(12):
+            # rand_hsystem needs D above its levels, up to 4 over GF(2)
+            D = rng.choice([5, 6])
+            if F.char:
+                H = rand_hsystem(rng, F, 2, D)
+            else:
+                H = HSystem(ctx_of(F, 2, D),
+                            [(mk(F, h), 0) for h in rng.choice(qq_systems)])
+            levels = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
+                      Fraction(3), Fraction(D + 1)]
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                h = rng.choice(H.entries)[0]
+                r = rand_poly(rng, F, 2, 2, terms=2)
+                gens.append((r.mul_trunc(h, D), rng.choice(levels)))
+            Fx = FiltrationSpec(H.ctx, gens)
+            assert mu_tilde(Fx, H).is_infinite
+            got = nonsingularity_check(Fx, H)["generated_by_h"]
+            assert got == reference_generated_by_h(Fx, H)
+            HF = H.filtration()
+            gens_in = all(HF.ideal_at_level(a).contains_poly(f.truncate(D))
+                          for f, a in Fx.gens)
+            seen.add((gens_in, got["ok"]))
+    assert {(True, True), (False, True), (False, False)} <= seen
 
 
 def reference_inverse_matrix_trunc(H: HSystem, M):
