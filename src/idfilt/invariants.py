@@ -46,7 +46,7 @@ class HSystem:
     not checked here.
     """
 
-    __slots__ = ("ctx", "entries", "roots", "normalized", "_filtration")
+    __slots__ = ("ctx", "entries", "roots", "normalized", "_filtration", "_ord")
 
     def __init__(self, ctx: TruncationContext, entries):
         entries = sorted(entries, key=lambda he: he[1])
@@ -68,6 +68,7 @@ class HSystem:
         self.roots = tuple(roots)
         self.normalized = self._normalize()
         self._filtration = None
+        self._ord = {}  # f -> ord_H(f), filled by ord_H
 
     @staticmethod
     def from_lgs(ctx: TruncationContext, lgs: LGS) -> "HSystem":
@@ -159,23 +160,20 @@ def ord_H(f: Poly, H: HSystem) -> SatValue:
 
     The graded-lex residue of f modulo the ideal image has order exactly
     ord_H(f); a zero residue means membership at full truncation, reported
-    as infinity established at precision D.
+    as infinity established at precision D.  The value is kept on H.
     """
-    r = H.ideal_space().reduce_poly(f.truncate(H.ctx.D))
-    if r.is_zero():
-        if not H.entries and f.is_zero():
-            return SatValue.infinity()
-        return SatValue.infinity(at_precision=bool(H.entries))
-    return SatValue.exact(int(r.order()))
+    v = H._ord.get(f)
+    if v is None:
+        r = H.ideal_space().reduce_poly(f.truncate(H.ctx.D))
+        v = H._ord[f] = (SatValue.infinity(at_precision=bool(H.entries))
+                         if r.is_zero() else SatValue.exact(int(r.order())))
+    return v
 
 
 def mu_tilde(F: FiltrationSpec, H: HSystem) -> SatValue:
     """inf of ord_H(f)/a over the generators (valid for generated
     filtrations by superadditivity of ord_H over products and sums)."""
-    vals = []
-    for f, a in F.gens:
-        vals.append(ord_H(f, H).over(a))
-    return sat_min(vals)
+    return sat_min(ord_H(f, H).over(a) for f, a in F.gens)
 
 
 # ---------------------------------------------------------------------------

@@ -132,8 +132,9 @@ def rand_hsystem(rng, F, d, D):
     for l, e in enumerate(sorted(prof)):
         q = p ** e
         lead = Poly.monomial(F, d, tuple(q if k == l else 0 for k in range(d)))
-        tail = rand_poly(rng, F, d, max_deg=min(q + 2, D), terms=2,
-                         min_ord=q + 1, nonzero=False)
+        tail = (rand_poly(rng, F, d, max_deg=min(q + 2, D), terms=2,
+                          min_ord=q + 1, nonzero=False)
+                if q < D else Poly.zero(F, d))  # no room for a tail above q
         entries.append((lead + tail, e))
     if rng.random() < 0.5:
         skew = [[F.one() if i == j else

@@ -15,8 +15,11 @@ from idfilt.invariants import (HSystem, _b_range, _h_power, _inverse_last_row, b
                                supporting1_check, supporting2_check,
                                supporting3_check)
 from idfilt.leading import extract_lgs
+from idfilt.pipeline import analyze
 from idfilt.poly import Poly, poly_str
 from idfilt.saturation import b_saturate_probe, d_saturate
+from idfilt.specfile import parse_spec
+from idfilt.values import SatValue
 from idfilt.verify import rand_hsystem, rand_poly
 from tests.conftest import ctx_of, mk
 
@@ -373,38 +376,109 @@ def reference_generated_by_h(F, H):
     return {"ok": not fail, "failing_levels": [str(a) for a in fail]}
 
 
+def generated_by_h_case(rng, F, D):
+    """One random F made of multiples r*h_l over a random H; the verdict is
+    checked against the grid loop.  Returns (generators in H's level
+    ideals, verdict, H)."""
+    if F.char:
+        H = rand_hsystem(rng, F, 2, D)
+    else:
+        H = HSystem(ctx_of(F, 2, D), [(mk(F, h), 0) for h in rng.choice(
+            [["x + y^2"], ["x - 2*y + x*y", "y + 3*x^2"]])])
+    levels = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
+              Fraction(3), Fraction(D + 1)]
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        h = rng.choice(H.entries)[0]
+        r = rand_poly(rng, F, 2, 2, terms=2)
+        gens.append((r.mul_trunc(h, D), rng.choice(levels)))
+    Fx = FiltrationSpec(H.ctx, gens)
+    assert mu_tilde(Fx, H).is_infinite
+    got = nonsingularity_check(Fx, H)["generated_by_h"]
+    assert got == reference_generated_by_h(Fx, H)
+    HF = H.filtration()
+    gens_in = all(HF.ideal_at_level(a).contains_poly(f.truncate(D))
+                  for f, a in Fx.gens)
+    return gens_in, got["ok"], H
+
+
 def test_generated_by_h_matches_grid_reference(QQ):
     # F from multiples r*h_l, so mu_H is infinite; a random multiple at a
     # level above that of h_l, or above D, mostly lies outside H's level
     # ideal, so both the generator test and the grid fallback decide
     rng = random.Random(17)
-    qq_systems = [["x + y^2"], ["x - 2*y + x*y", "y + 3*x^2"]]
+    fields = (PrimeField(2), PrimeField(3), QQ)
     seen = set()
-    for F in (PrimeField(2), PrimeField(3), QQ):
+    for F in fields:
         for _ in range(12):
-            # rand_hsystem needs D above its levels, up to 4 over GF(2)
-            D = rng.choice([5, 6])
-            if F.char:
-                H = rand_hsystem(rng, F, 2, D)
-            else:
-                H = HSystem(ctx_of(F, 2, D),
-                            [(mk(F, h), 0) for h in rng.choice(qq_systems)])
-            levels = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
-                      Fraction(3), Fraction(D + 1)]
-            gens = []
-            for _ in range(rng.randint(1, 3)):
-                h = rng.choice(H.entries)[0]
-                r = rand_poly(rng, F, 2, 2, terms=2)
-                gens.append((r.mul_trunc(h, D), rng.choice(levels)))
-            Fx = FiltrationSpec(H.ctx, gens)
-            assert mu_tilde(Fx, H).is_infinite
-            got = nonsingularity_check(Fx, H)["generated_by_h"]
-            assert got == reference_generated_by_h(Fx, H)
-            HF = H.filtration()
-            gens_in = all(HF.ideal_at_level(a).contains_poly(f.truncate(D))
-                          for f, a in Fx.gens)
-            seen.add((gens_in, got["ok"]))
+            seen.add(generated_by_h_case(rng, F, rng.choice([5, 6]))[:2])
     assert {(True, True), (False, True), (False, False)} <= seen
+    # D = 4 meets GF(2)'s top level 4 (and D = 3 GF(3)'s level 3), where
+    # rand_hsystem draws h_l with no tail
+    top = 0
+    for F, D in ((fields[0], 4), (fields[1], 3), (fields[2], 4)):
+        for _ in range(6):
+            H = generated_by_h_case(rng, F, D)[2]
+            top += any(H.level(l) == D for l in range(len(H.entries)))
+    assert top > 0
+
+
+INFINITE_MU = """field: GF(3)
+vars: x, y, z
+truncation: 10
+gen: x + z^4 @ 1
+gen: y^3 @ 3
+"""
+
+
+def test_analyze_reduces_each_generator_once_modulo_h(monkeypatch):
+    # mu_H is infinite and H is nonempty, so every reader of ord_H runs: the
+    # ord_H table, mu-tilde, and the hypotheses of the nonsingularity and
+    # coefficient checks
+    systems, reduced = [], []
+    from_lgs, reduce_poly = HSystem.from_lgs, GradedSubspace.reduce_poly
+
+    def recorded(ctx, lgs):
+        systems.append(from_lgs(ctx, lgs))
+        return systems[-1]
+
+    def counted(self, f):
+        reduced.append((self, f))
+        return reduce_poly(self, f)
+
+    monkeypatch.setattr(HSystem, "from_lgs", staticmethod(recorded))
+    monkeypatch.setattr(GradedSubspace, "reduce_poly", counted)
+    report = analyze(parse_spec(INFINITE_MU))
+    assert report["nonsingularity"]["applicable"]
+    assert "ok" in report["checks"]["coefficient_level_1"]
+    [H] = systems
+    assert H.entries
+    mod_h = [f for S, f in reduced if S is H.ideal_space()]
+    gens = {g["poly"] for g in report["saturation"]["b_probe"]["gens"]}
+    assert len(mod_h) == len(set(mod_h)) == len(gens) > 2
+
+
+def test_ord_h_values_belong_to_their_system(F2, monkeypatch):
+    # two systems for one F, as verify's choice-independence check builds:
+    # each reduces f modulo its own (H), once however often it is asked
+    ctx = ctx_of(F2, 2, 6)
+    Fx = FiltrationSpec(ctx, [(mk(F2, "x"), 1), (mk(F2, "y^3"), 2)])
+    H1 = HSystem(ctx, [(mk(F2, "x"), 0)])
+    H2 = HSystem(ctx, [(mk(F2, "x + y^2"), 0)])
+    reduced = []
+    reduce_poly = GradedSubspace.reduce_poly
+
+    def counted(self, f):
+        reduced.append(self)
+        return reduce_poly(self, f)
+
+    monkeypatch.setattr(GradedSubspace, "reduce_poly", counted)
+    for _ in range(2):
+        assert ord_H(mk(F2, "x"), H1).is_infinite
+        assert ord_H(mk(F2, "x"), H2) == SatValue.exact(2)
+        assert mu_tilde(Fx, H1) == SatValue.exact(Fraction(3, 2))
+        assert mu_tilde(Fx, H2) == SatValue.exact(Fraction(3, 2))
+    assert [sum(S is H.ideal_space() for S in reduced) for H in (H1, H2)] == [2, 2]
 
 
 def reference_inverse_matrix_trunc(H: HSystem, M):

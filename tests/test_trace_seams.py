@@ -40,7 +40,8 @@ def test_tracer_records_every_layer_and_uninstalls():
         tracer.uninstall()
     names = {rec[tracing.NAME] for rec in tracer.spans}
     for name in ("leading.pure_part", "leading.extract_lgs", "filtration.ideal_at_level",
-                 "filtration.minimal_products", "gls.ideal_image", "kernels.rref_mod_p"):
+                 "filtration.minimal_products", "gls.ideal_image", "kernels.rref_mod_p",
+                 "invariants.ord_H", "pipeline.mu"):
         assert name in names, name
     assert tracer.counters["poly.mul_trunc"][0] > 0
     assert idfilt.leading.pure_part is original

@@ -6,6 +6,8 @@ the same operands gives.
 """
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 from idfilt import diffop, verify
@@ -84,3 +86,27 @@ def test_pe_power_generated_failure_text(monkeypatch):
     res = verify.suite_pe_power_generated(random.Random("0:6"))
     assert res.failures[0] == "powers p=3 e=1 gens=['x^3*y^6 + 2*x^9*z^3', 'y^9']"
     assert len(res.failures) == 144
+
+
+RAND_HSYSTEM_AT_LEVEL_D = """
+import random
+from idfilt.fields import PrimeField
+from idfilt.verify import rand_hsystem
+
+top = {}
+for p, D in ((2, 4), (3, 3)):
+    for seed in range(30):
+        H = rand_hsystem(random.Random(seed), PrimeField(p), 2, D)
+        levels = [H.level(l) for l in range(len(H.entries))]
+        assert max(levels) <= D
+        top[p] = top.get(p, 0) + (D in levels)
+print(top[2], top[3])
+"""
+
+
+def test_rand_hsystem_returns_at_a_level_equal_to_d():
+    # a level p^e equal to D leaves no degree for a tail above it; run in a
+    # child process so that a hang fails the test instead of stalling the run
+    out = subprocess.run([sys.executable, "-c", RAND_HSYSTEM_AT_LEVEL_D],
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert all(int(n) > 0 for n in out.stdout.split())
