@@ -25,6 +25,30 @@ from .poly import Poly, TruncationContext
 from .values import SatValue, sat_min
 
 
+def _level_fits(data, D, top):
+    """fits[i][b] for b = 0..D: the bitset whose bit s says that some product
+    of the generators data[i:] (polynomial, integer level, order), each
+    repeated freely, has order <= b and level s < top.  The empty product
+    gives s = 0.  Filled as an unbounded knapsack from the last generator."""
+    mask = (1 << top) - 1
+    row = [1] * (D + 1)
+    fits = [row]
+    for _, lvl, ordf in reversed(data):
+        row = list(row)
+        if ordf == 0:
+            # a unit: repeating it costs no order, so close each bitset
+            for b, bits in enumerate(row):
+                while (grown := (bits | bits << lvl) & mask) != bits:
+                    bits = grown
+                row[b] = bits
+        else:
+            for b in range(ordf, D + 1):
+                row[b] |= row[b - ordf] << lvl & mask
+        fits.append(row)
+    fits.reverse()
+    return fits
+
+
 class FiltrationSpec:
     """Finite generator presentation of an idealistic filtration."""
 
@@ -86,8 +110,17 @@ class FiltrationSpec:
         dropping that factor leaves it below a.  A branch stops before a
         product that is not minimal, as no extension of it is, or whose
         order exceeds D (over a field the orders of factors add up, so it
-        vanishes in the quotient): no discarded product is built.  Levels
-        are walked as integers in units of 1/grid_denominator.
+        vanishes in the quotient).  Levels are walked as integers in units
+        of 1/grid_denominator.
+
+        A branch is entered only when some completion of it is minimal.  The
+        table fits[i][b] (see _level_fits) holds the levels of the products
+        of generators i, i+1, ... of order <= b.  A branch at generator i
+        with level below a, order o and least factor level m completes to a
+        minimal product exactly when one of those products, of order at most
+        D - o, lands its level in [a, a + m): the first prefix of that
+        completion to reach a is then minimal too, as its level lies in the
+        same window.  So every product built divides one that is returned.
         """
         D = self.ctx.D
         delta = self.grid_denominator
@@ -96,18 +129,23 @@ class FiltrationSpec:
         if a <= 0:
             return [one]
         data = [(f.truncate(D), int(lvl * delta), f.order()) for f, lvl in self.gens]
+        fits = _level_fits(data, D, a + max((lvl for _, lvl, _ in data), default=0))
         out = []
 
         def walk(i, prod, level, order, least):
-            if i >= len(data):
+            if i >= len(data) or least and not (
+                    fits[i][D - order] >> (a - level) & ((1 << least) - 1)):
                 return
             walk(i + 1, prod, level, order, least)
             f, lvl, ordf = data[i]
             least = least or lvl
+            window = (1 << least) - 1
             while level < a:
                 order += ordf
                 level += lvl
                 if order > D or level - least >= a:
+                    break
+                if level < a and not fits[i][D - order] >> (a - level) & window:
                     break
                 prod = prod.mul_trunc(f, D)
                 if level >= a:

@@ -39,7 +39,7 @@ def _shared_sections(spec: SpecFile):
 
     F0 = FiltrationSpec(ctx, spec.gens)
     Fd = d_saturate_log(F0) if ctx.boundary else d_saturate(F0)
-    Fb, added = b_saturate_probe(F0, bounds, opts.candidates)
+    Fb, added = b_saturate_probe(F0, bounds, opts.candidates, sat=Fd)
 
     emax = opts.emax if opts.emax is not None else default_emax(ctx)
     emax = min(emax, default_emax(ctx))  # beyond log_p D nothing is visible

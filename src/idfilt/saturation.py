@@ -271,18 +271,20 @@ def _theta_candidates(F: FiltrationSpec, roots):
 
 
 def b_saturate_probe(F: FiltrationSpec, bounds: RadicalProbeBounds = RadicalProbeBounds(),
-                     candidates=()):
+                     candidates=(), sat: FiltrationSpec | None = None):
     """Differential saturation followed by probe-certified radical additions.
 
     Candidate pool: p^e-th roots of the differentially saturated
     generators, exact theta upgrades when the generators are all monomial,
     and caller-supplied pairs.  Every probe member is adjoined and the
     result re-closed under derivatives, so each addition genuinely lies in
-    the joint saturation; the output under-approximates it.
+    the joint saturation; the output under-approximates it.  A caller that
+    has d_saturate_log(F) already passes it as sat; the probe's level ideals
+    are cached on a copy of it, so the caller's object does not hold them.
 
     Returns (saturated FiltrationSpec, list of (poly, level, witness_n)).
     """
-    sat = d_saturate_log(F)
+    sat = d_saturate_log(F) if sat is None else FiltrationSpec(F.ctx, sat.gens)
     roots = _root_candidates(sat)
     pool = list(roots) + _theta_candidates(sat, roots) + \
         [(g, Fraction(a)) for g, a in candidates]

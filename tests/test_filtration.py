@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -152,7 +154,6 @@ def test_mu_P_brute_force_cross_check(rng, F2):
 
 def test_level_ideal_vs_unpruned_enumeration(rng, F3):
     # the minimal-antichain product search must match the full enumeration
-    import itertools
     from idfilt.gls import ideal_image
     from idfilt.verify import rand_spec
     for _ in range(12):
@@ -180,34 +181,141 @@ def test_level_ideal_vs_unpruned_enumeration(rng, F3):
                 ideal_image(prods, ctx))
 
 
+def unpruned_walk(spec, a):
+    """The walk of _minimal_products without its order-budget table: it may
+    enter branches that return nothing, but returns the same list."""
+    D = spec.ctx.D
+    delta = spec.grid_denominator
+    a = math.ceil(Fraction(a) * delta)
+    one = Poly.one(spec.ctx.field, spec.ctx.nvars)
+    if a <= 0:
+        return [one]
+    data = [(f.truncate(D), int(lvl * delta), f.order()) for f, lvl in spec.gens]
+    out = []
+
+    def walk(i, prod, level, order, least):
+        if i >= len(data):
+            return
+        walk(i + 1, prod, level, order, least)
+        f, lvl, ordf = data[i]
+        least = least or lvl
+        while level < a:
+            order += ordf
+            level += lvl
+            if order > D or level - least >= a:
+                break
+            prod = prod.mul_trunc(f, D)
+            if level >= a:
+                out.append(prod)
+            else:
+                walk(i + 1, prod, level, order, least)
+
+    walk(0, one, 0, 0, 0)
+    return out
+
+
+def brute_force_minimal(spec, a):
+    """Every exponent vector of order <= D that reaches the level a and falls
+    short of it once any one used generator is removed, with its product.
+    No minimal vector repeats a generator of level l more than ceil(a / l)
+    times, which bounds the search also for a unit generator."""
+    ctx = spec.ctx
+    orders = [f.order() for f, _ in spec.gens]
+    levels = [lvl for _, lvl in spec.gens]
+    ranges = [range(min(ctx.D // o if o else math.inf, math.ceil(a / lvl)) + 1)
+              for o, lvl in zip(orders, levels)]
+    found = []
+    for counts in itertools.product(*ranges):
+        level = sum(c * lvl for c, lvl in zip(counts, levels))
+        if (level < a or sum(c * o for c, o in zip(counts, orders)) > ctx.D
+                or any(c and level - lvl >= a for c, lvl in zip(counts, levels))):
+            continue
+        prod = Poly.one(ctx.field, ctx.nvars)
+        for c, (g, _) in zip(counts, spec.gens):
+            for _ in range(c):
+                prod = prod.mul_trunc(g, ctx.D)
+        found.append((counts, prod))
+    return found
+
+
+def walk_prefixes(vectors):
+    """The walk's nodes on the way to the given exponent vectors: each
+    (c_0, ..., c_(i-1), k, 0, ...) with 1 <= k <= c_i."""
+    return {c[:i] + (k,) + (0,) * (len(c) - i - 1)
+            for c in vectors for i, ci in enumerate(c) for k in range(1, ci + 1)}
+
+
+def counted_minimal_products(spec, a, monkeypatch):
+    """spec._minimal_products(a) and the number of mul_trunc calls it made."""
+    calls = []
+    mul = Poly.mul_trunc
+
+    def counting(self, other, D):
+        calls.append(None)
+        return mul(self, other, D)
+
+    with monkeypatch.context() as m:
+        m.setattr(Poly, "mul_trunc", counting)
+        got = spec._minimal_products(a)
+    return got, len(calls)
+
+
 @pytest.mark.parametrize("name", ["F2", "F3", "F9", "QQ"])
-def test_minimal_products_are_the_minimal_exponent_vectors(name, request, rng):
-    # brute force: every exponent vector of order <= D that reaches the level
-    # and falls short of it once any one used generator is removed
-    import itertools
+def test_minimal_products_are_the_minimal_exponent_vectors(name, request, rng, monkeypatch):
+    # the walk returns exactly the brute-force minimal products, and every
+    # product it builds is a prefix of one of them: no wasted mul_trunc
     from idfilt.verify import rand_spec
     F = request.getfixturevalue(name)
     for _ in range(8):
         spec = rand_spec(rng, F, 2, 6, rng.choice([1, 2, 3]))
-        ctx = spec.ctx
         delta = spec.grid_denominator
-        orders = [f.order() for f, _ in spec.gens]
-        levels = [lvl for _, lvl in spec.gens]
         for a in (Fraction(1, delta), Fraction(4, delta) - Fraction(1, 7), Fraction(9, delta),
                   Fraction(3)):
-            want = []
-            for counts in itertools.product(*[range(ctx.D // o + 1) for o in orders]):
-                level = sum(c * lvl for c, lvl in zip(counts, levels))
-                if (level < a or sum(c * o for c, o in zip(counts, orders)) > ctx.D
-                        or any(c and level - lvl >= a for c, lvl in zip(counts, levels))):
-                    continue
-                prod = Poly.one(F, 2)
-                for c, (g, _) in zip(counts, spec.gens):
-                    for _ in range(c):
-                        prod = prod.mul_trunc(g, ctx.D)
-                want.append(prod.sort_key())
-            got = [p.sort_key() for p in spec._minimal_products(a)]
-            assert sorted(got) == sorted(want)
+            want = brute_force_minimal(spec, a)
+            got, built = counted_minimal_products(spec, a, monkeypatch)
+            assert sorted(p.sort_key() for p in got) == sorted(p.sort_key() for _, p in want)
+            assert built == len(walk_prefixes([c for c, _ in want]))
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F9", "QQ"])
+def test_minimal_products_keep_the_unpruned_walk_order(name, request, rng):
+    # pruning skips only branches that return nothing: same list, same order
+    from idfilt.verify import rand_spec
+    F = request.getfixturevalue(name)
+    for _ in range(10):
+        spec = rand_spec(rng, F, 3, rng.choice([4, 6, 8]), rng.choice([1, 2, 3, 4]))
+        for k in (1, 2, 3, 5, 8, 13, 21):
+            a = Fraction(k, spec.grid_denominator)
+            assert spec._minimal_products(a) == unpruned_walk(spec, a)
+
+
+def test_minimal_products_edge_cases(F3, monkeypatch):
+    ctx = ctx_of(F3, 2, 6)
+    cases = [
+        # no generators at a positive level: no product reaches it
+        (FiltrationSpec(ctx, []), [Fraction(1), Fraction(7, 2)]),
+        # a unit generator, which ideal_at_level never walks at a > 0: the
+        # order-0 repeats are bounded by the level alone
+        (FiltrationSpec(ctx, [(mk(F3, "1 + x"), Fraction(1, 2)), (mk(F3, "y^2"), 1)]),
+         [Fraction(1, 2), Fraction(2), Fraction(7, 2)]),
+        (FiltrationSpec(ctx, [(mk(F3, "2"), 3)]), [Fraction(1), Fraction(10)]),
+        # a generator of order beyond D, beside one that fits
+        (FiltrationSpec(ctx, [(mk(F3, "x^7 + y^9"), Fraction(1, 3)), (mk(F3, "x*y"), 2)]),
+         [Fraction(1, 3), Fraction(2), Fraction(5)]),
+        (FiltrationSpec(ctx, [(mk(F3, "y^8"), 1)]), [Fraction(1)]),
+        # levels between grid points
+        (FiltrationSpec(ctx_of(F3, 2, 8), [(mk(F3, "x"), Fraction(1, 2)),
+                                           (mk(F3, "y^2"), Fraction(2, 3))]),
+         [Fraction(5, 4), Fraction(4, 3), Fraction(7, 6), Fraction(17, 5)]),
+    ]
+    for spec, levels in cases:
+        for a in levels:
+            want = brute_force_minimal(spec, a)
+            got, built = counted_minimal_products(spec, a, monkeypatch)
+            assert sorted(p.sort_key() for p in got) == sorted(p.sort_key() for _, p in want)
+            assert got == unpruned_walk(spec, a)
+            assert built == len(walk_prefixes([c for c, _ in want]))
+    assert FiltrationSpec(ctx, [])._minimal_products(Fraction(1)) == []
 
 
 def test_integral_witness_examples(QQ):

@@ -21,6 +21,7 @@ from idfilt.saturation import RadicalProbeBounds, b_saturate_probe
 from idfilt.specfile import parse_spec
 from tests.conftest import ctx_of, mk
 from tests.test_cli import PINNED_REPORTS
+from tests.test_filtration import counted_minimal_products
 
 FIELDS = [PrimeField(2), PrimeField(3), ExtensionField(3, 2), RationalField()]
 
@@ -116,14 +117,16 @@ def test_pruning_examples(F3, QQ):
 
 def test_pruning_cuts_the_rows_of_the_saturated_level_ideal(monkeypatch):
     # the level-3 ideal of this pin's saturation has 137 minimal products,
-    # 9,024 rows, before pruning, and 1,704 rows after
+    # 9,024 rows, before pruning, and 1,704 rows after; the walk that finds
+    # them builds 196 products, each a divisor of one it returns
     spec = parse_spec(PINNED_REPORTS["gf3_d3_D12"][0])
     opts = spec.options
     F0 = FiltrationSpec(spec.context(), spec.gens)
     Fb, _ = b_saturate_probe(F0, RadicalProbeBounds(opts.radical_n_max, opts.radical_grid),
                              opts.candidates)
     ctx = Fb.ctx
-    prods = Fb._minimal_products(Fraction(3))
+    prods, built = counted_minimal_products(Fb, Fraction(3), monkeypatch)
+    assert built == 196
     stacked = sum(len(multiples(g, ctx)) for g in prods)
     handed = []
     rref = gls._rref

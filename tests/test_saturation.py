@@ -258,6 +258,29 @@ def test_b_saturate_probe_examples(F2):
     assert added3 == [] and sat3.gens == ()
 
 
+def test_b_saturate_probe_takes_the_d_saturation(F2, monkeypatch):
+    # a caller's d-saturation is used as given, and its level cache stays empty
+    from idfilt import pipeline, saturation
+    from idfilt.specfile import parse_spec
+    ctx = ctx_of(F2, 2, 8)
+    for gens in ([(mk(F2, "y^2"), 2)], [(mk(F2, "x"), 1)]):
+        F = FiltrationSpec(ctx, gens)
+        Fd = d_saturate_log(F)
+        sat, added = b_saturate_probe(F, sat=Fd)
+        want_sat, want_added = b_saturate_probe(F)
+        assert sat.gens == want_sat.gens and added == want_added
+        assert Fd._level_cache == {}
+    # one analyze saturates F0 once, and once more only after an addition
+    calls = []
+    derivative_gens = saturation._derivative_gens
+    monkeypatch.setattr(saturation, "_derivative_gens",
+                        lambda *args: calls.append(None) or derivative_gens(*args))
+    for gen, saturations in (("y^2 @ 2", 2), ("x @ 1", 1)):
+        calls.clear()
+        pipeline.analyze(parse_spec(f"field: GF(2)\nvars: x, y\ntruncation: 8\ngen: {gen}\n"))
+        assert len(calls) == saturations
+
+
 def test_b_saturate_theta_upgrade(QQ):
     # monomial generators: exact asymptotics raise the level of x
     ctx = ctx_of(QQ, 2, 8)
