@@ -3,11 +3,12 @@
 Over a finite field, every membership test ends in reduce_mod_p, and every
 elimination that gls._rref cannot finish by its singleton presolve ends in
 rref_mod_p on an int64 matrix; so does each prime of the multimodular
-elimination over QQ.  rref_mod_p sees only the residual block left once
-the unit rows are taken out, so the tall stacks of multiples X^A g reach
-it as small dense blocks.  The kernels are vectorized numpy: each pivot
-step clears its column with one outer-product update.  One pivot loop
-serves every finite field; only the pivot scaling and the row update
+elimination over QQ.  The presolve works on (row, column, value)
+coordinates and makes dense only the residual block left once the unit rows
+are taken out, so the tall stacks of multiples X^A g, which are never
+dense, reach rref_mod_p as small blocks.  The kernels are vectorized numpy:
+each pivot step clears its column with one outer-product update.  One pivot
+loop serves every finite field; only the pivot scaling and the row update
 differ, and the field decides which runs:
 
 * GF(p) (tables is None): entries in [0, p) with % p arithmetic.

@@ -34,7 +34,7 @@ def hasse_apply(f: Poly, J) -> Poly:
         if b:
             # I -> I - J is injective, so every key is written once
             out[mi_sub(I, J)] = F.mul(c, F.from_int(b))
-    return Poly(F, f.nvars, out)
+    return Poly._of(F, f.nvars, out)
 
 
 def boundary_part(J, ctx: TruncationContext):

@@ -17,15 +17,15 @@ basis is the canonical RREF of its row space and outputs are deterministic.
 An ideal of the truncated ring needs no type of its own: its image is the
 subspace it spans, closed under multiplication by the variables, and the
 canonical basis describes it completely.  The multipliers X^A with
-low <= |A| <= k are one column range, so multiples(g, ctx, low) places each
-term c X^e of g across it by one scatter through the cached shift map of
-X^e; ideal_image stacks those blocks and returns the GradedSubspace they
-span.  It stacks them only for a pruned generating set: a generator that is
-a monomial multiple c X^E q of a kept generator q adds no row outside the
-span of the others, so it is dropped first.  The span, and so the canonical
-basis, is the same; on saturated level ideals most minimal generator
-products are such multiples (GF(3), d=3, D=12, level 3: 137 minimal
-products and 9,024 rows become 16 and 1,704).
+low <= |A| <= k are one column range, so multiples(g, ctx, low) gives each
+term c X^e of g as coordinates through the cached shift map of X^e (a
+Coords: rows, columns, values), and ideal_image stacks those of a pruned
+generating set and returns the GradedSubspace they span; no dense stack is
+built.  A generator that is a monomial multiple c X^E q of a kept generator
+q adds no row outside the span of the others, so it is dropped first.  The
+span, and so the canonical basis, is the same; on saturated level ideals
+most minimal generator products are such multiples (GF(3), d=3, D=12,
+level 3: 137 minimal products and 9,024 rows become 16 and 1,704).
 
 Every basis, over every field, is one 2-D numpy array: int64 over a finite
 field (residues in [0, p) over GF(p), the field's int codes in [0, q) over
@@ -47,16 +47,18 @@ field.  rref() offers the same engine for small matrices outside the
 truncated ring.
 
 Before either kernel runs, _rref takes out the unit rows, on every field
-alike: the stacked multiples X^A g are mostly rows with one nonzero, whose
-columns U are then pivot columns of the RREF with unit rows e_c.  Clearing
-U from the other rows can leave new singletons, so this repeats; it is the
-singleton step of structured Gaussian elimination (LaMacchia and Odlyzko,
-"Solving large sparse linear systems over finite fields", CRYPTO 1990) and
-needs only index operations.  The kernel then eliminates only the rows left
-nonzero, on the columns outside U.  Those RREF rows vanish on U and the
-rows e_c vanish on their pivots, so the two sets together, sorted by pivot,
-are the canonical RREF of the whole matrix.  On the benchmark's
-analyze_prime specs the kernel's cells fall from 9.5M to 0.2M a pass.
+alike, from coordinates (a dense input's after one np.nonzero): the
+multiples X^A g are mostly rows with one nonzero, whose columns U are then
+pivot columns of the RREF with unit rows e_c.  Clearing U from the other
+rows can leave new singletons, so this repeats; it is the singleton step of
+structured Gaussian elimination (LaMacchia and Odlyzko, "Solving large
+sparse linear systems over finite fields", CRYPTO 1990), structural pivots
+found before any arithmetic.  Only the rows left nonzero, on the columns
+outside U, are made dense for the kernel.  Those RREF rows vanish on U and
+the rows e_c vanish on their pivots, so the two sets together, sorted by
+pivot, are the canonical RREF of the whole matrix.  At GF(3), d=4, D=14 the
+largest level-ideal stack, 10,165 x 3,060 with 11,881 nonzeros, leaves the
+kernel 20 x 493.
 
 Dense rows over at most N = C(D+d, d) columns; the supported envelope is
 d <= 6, D <= 16, and the spec parser refuses a ring whose level-0 ideal,
@@ -119,53 +121,80 @@ def _matrix(field, shape, cells=None):
     return np.zeros(shape, dtype=dtype)
 
 
+class Coords:
+    """A matrix as its nonzero entries: row indices, column indices, values
+    in the field's format (no (row, col) pair twice) and its shape.  len()
+    is its row count, as for a stack of vectors."""
+
+    __slots__ = ("rows", "cols", "vals", "shape")
+
+    def __init__(self, rows, cols, vals, shape):
+        self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape
+
+    def __len__(self):
+        return self.shape[0]
+
+    @staticmethod
+    def stack(blocks):
+        """A nonempty list of blocks one under the other."""
+        offsets = np.cumsum([0] + [len(b) for b in blocks])
+        return Coords(np.concatenate([b.rows + o for b, o in zip(blocks, offsets)]),
+                      np.concatenate([b.cols for b in blocks]),
+                      np.concatenate([b.vals for b in blocks]),
+                      (int(offsets[-1]), blocks[0].shape[1]))
+
+
 def _rref(field, rows):
     """(canonical RREF rows as a matrix, pivot columns as ints) of a nonempty
-    list of vectors in the field's format, or of a matrix, which may be
-    overwritten.
+    list of vectors in the field's format, of a matrix, which may be
+    overwritten, or of a Coords.
 
-    The kernel eliminates only the rows that the singleton presolve leaves
-    nonzero, on the columns it has not taken; the unit rows e_c of the
+    The singleton presolve runs on coordinates, those of a dense input after
+    one np.nonzero.  The kernel eliminates only the rows it leaves nonzero,
+    on the columns it has not taken, made dense; the unit rows e_c of the
     taken columns c join its RREF rows at their sorted pivot positions."""
-    if field.char:
-        mat = np.asarray(rows)
-        if field.tables is None:
+    if not isinstance(rows, Coords):
+        mat = np.asarray(rows) if field.char else np.asarray(rows, dtype=object)
+        if field.char and field.tables is None:
             np.remainder(mat, field.p, out=mat)
-    else:
-        mat = np.asarray(rows, dtype=object)
-    taken, cnt = _singletons(mat)
-    if not taken.any():
-        return _eliminate(field, mat)
+        r, c = np.nonzero(mat)
+        if np.bincount(r, minlength=len(mat)).min() > 1:  # no singleton, no zero row
+            return _eliminate(field, mat)
+        rows = Coords(r, c, mat[r, c], mat.shape)
+    taken, cnt, left = _singletons(rows.rows, rows.cols, rows.shape)
     units, free, live = np.flatnonzero(taken), np.flatnonzero(~taken), np.flatnonzero(cnt)
-    block = mat[np.ix_(live, free)]
+    r, c, vals = rows.rows[left], rows.cols[left], rows.vals[left]
+    if field.char and field.tables is None:
+        vals %= field.p  # Poly coefficients may lie outside [0, p)
+    block = _matrix(field, (live.size, free.size))
+    block[np.searchsorted(live, r), np.searchsorted(free, c)] = vals
     red, piv = _eliminate(field, block) if live.size else (block, [])
     piv = free[piv]
     pivots = np.sort(np.concatenate([units, piv]))
-    out = _matrix(field, (len(pivots), mat.shape[1]))
+    out = _matrix(field, (len(pivots), rows.shape[1]))
     out[np.searchsorted(pivots, units), units] = field.one()
     out[np.ix_(np.searchsorted(pivots, piv), free)] = red
     return out, pivots.tolist()
 
 
-def _singletons(mat):
-    """(taken, cnt): the columns of rows with one nonzero, taken as unit
-    pivots round after round as clearing them from the other rows leaves
-    new singletons, and each row's count of nonzeros outside them.  Beyond
-    one scan of the row counts, a round touches only its singleton rows and
-    the columns it takes.  A row is a singleton in one round at most and a
-    column is taken once, so even a long chain of singletons costs a few
-    passes over the cells, not one per round."""
-    nz = mat.astype(bool)
-    cnt = nz.sum(axis=1)
-    taken = np.zeros(mat.shape[1], dtype=bool)
+def _singletons(r, c, shape):
+    """(taken, cnt, left) for the nonzero entries at rows r, columns c: the
+    columns taken as unit pivots, each row's count of nonzeros outside them,
+    and the indices of the entries outside them.  A round takes the columns
+    of the rows counted 1, drops the entries in those columns and subtracts
+    their bincount; clearing them can leave new singletons for the next."""
+    cnt = np.bincount(r, minlength=shape[0])
+    taken = np.zeros(shape[1], dtype=bool)
+    left = np.arange(len(r))
     while True:
-        single = np.flatnonzero(cnt == 1)
-        if not single.size:
-            return taken, cnt
-        cols = np.flatnonzero(np.bincount(nz[single].argmax(axis=1), minlength=len(taken)))
-        cnt -= nz[:, cols].sum(axis=1)
-        nz[:, cols] = False
+        cols = c[cnt[r] == 1]
+        if not cols.size:
+            return taken, cnt, left
         taken[cols] = True
+        hit = taken[c]
+        cnt -= np.bincount(r[hit], minlength=shape[0])
+        stay = ~hit
+        r, c, left = r[stay], c[stay], left[stay]
 
 
 def _eliminate(field, mat):
@@ -238,8 +267,8 @@ class GradedSubspace:
 
     @staticmethod
     def from_vectors(ctx, vecs) -> "GradedSubspace":
-        """Echelon basis of the span of a list of vectors (or of the rows of a
-        matrix, which may be overwritten)."""
+        """Echelon basis of the span of a list of vectors, of the rows of a
+        matrix (which may be overwritten) or of a Coords."""
         if len(vecs) == 0:
             N = len(monomial_basis(ctx.nvars, ctx.D)[0])
             return GradedSubspace(ctx, _matrix(ctx.field, (0, N)), ())
@@ -374,18 +403,20 @@ class GradedSubspace:
         return "\n".join(poly_str(f) for f in self.basis_polys())
 
 
-def multiples(g: Poly, ctx: TruncationContext, low: int = 0):
-    """The rows X^A g for low <= |A| <= D - ord(g), as one matrix in the
-    field's format (no rows when g vanishes at truncation D)."""
+def multiples(g: Poly, ctx: TruncationContext, low: int = 0) -> Coords:
+    """The rows X^A g for low <= |A| <= D - ord(g), in coordinates: each term
+    c X^e of g puts c in row A at the column of X^(A+e), for every A with
+    |A + e| <= D (no rows when g vanishes at truncation D)."""
     _, _, degree_of = monomial_basis(ctx.nvars, ctx.D)
     start = bisect_left(degree_of, low)
     stop = max(start, bisect_right(degree_of, ctx.D - g.order()))
-    out = _matrix(ctx.field, (stop - start, len(degree_of)))
-    rows = np.arange(stop - start)
-    for e, c in g.terms.items():
-        cols = _shift_map(ctx.nvars, ctx.D, e)[start:stop]
-        out[rows[:len(cols)], cols] = c
-    return out
+    cols = [_shift_map(ctx.nvars, ctx.D, e)[start:stop] for e in g.terms]
+    sizes = [len(k) for k in cols]
+    vals = np.array(list(g.terms.values()), dtype=np.int64 if ctx.field.char else object)
+    none = np.empty(0, dtype=np.intp)
+    return Coords(np.concatenate([np.arange(n) for n in sizes] + [none]),
+                  np.concatenate(cols + [none]), np.repeat(vals, sizes),
+                  (stop - start, len(degree_of)))
 
 
 def _divides(a, b) -> bool:
@@ -434,9 +465,7 @@ def ideal_image(gens, ctx: TruncationContext) -> GradedSubspace:
     of the rest.  So the span, and the canonical basis, is that of the full
     stack."""
     blocks = [multiples(g, ctx) for g in _pruned(gens, ctx)]
-    stack = np.vstack(blocks) if blocks else []
-    del blocks  # the stack is a copy; free the blocks before the elimination
-    return GradedSubspace.from_vectors(ctx, stack)
+    return GradedSubspace.from_vectors(ctx, Coords.stack(blocks) if blocks else [])
 
 
 def membership(f: Poly, S: GradedSubspace) -> bool:

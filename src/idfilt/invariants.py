@@ -25,11 +25,9 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 
-import numpy as np
-
 from .diffop import DiffOp
 from .filtration import FiltrationSpec
-from .gls import GradedSubspace, monomial_basis, multiples, poly_to_vec, rref
+from .gls import Coords, GradedSubspace, monomial_basis, multiples, poly_to_vec, rref
 from .leading import LGS, linear_coefficients
 from .poly import Poly, TruncationContext
 from .values import SatValue, sat_min
@@ -398,9 +396,7 @@ def supporting3_check(H: HSystem, r: int) -> bool:
     lhs = H.ideal_space().meet_power_m(r)
     blocks = [multiples(h, ctx, max(0, r - H.level(l)))
               for l, (h, _) in enumerate(H.entries)]
-    stack = np.vstack(blocks) if blocks else []
-    del blocks  # the stack is a copy; free the blocks before the elimination
-    return lhs.equals(GradedSubspace.from_vectors(ctx, stack))
+    return lhs.equals(GradedSubspace.from_vectors(ctx, Coords.stack(blocks) if blocks else []))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ quotient equals the image of the plain polynomial ideal, so no local term
 orders or division algorithms are ever needed; truncated multiplication and
 exact linear algebra carry everything.
 
-The constructor is the one place that drops zero coefficients, so the
+The constructors are the one place that drops zero coefficients, so the
 arithmetic loops accumulate without testing for zero.  mul_trunc is the one
 product loop (the full product and the monomial shift are truncated products
 at D = inf or D) and pow_trunc the one square-and-multiply.
@@ -79,6 +79,20 @@ class Poly:
                     clean[tuple(exps)] = c
         self.terms = clean
 
+    @staticmethod
+    def _of(field: Field, nvars: int, terms):
+        """An arithmetic result that keeps terms, a fresh dict keyed by
+        exponent tuples of length nvars: the zero rule alone, which rebuilds
+        the dict only when it holds a zero, without __init__'s checks."""
+        out = object.__new__(Poly)
+        out.field, out.nvars, out.terms = field, nvars, terms
+        is_zero = field.is_zero
+        for c in terms.values():
+            if is_zero(c):
+                out.terms = {e: c for e, c in terms.items() if not is_zero(c)}
+                break
+        return out
+
     # constructors -----------------------------------------------------
 
     @staticmethod
@@ -123,12 +137,12 @@ class Poly:
         return self.terms.get((0,) * self.nvars, self.field.zero())
 
     def graded_component(self, n: int) -> "Poly":
-        return Poly(self.field, self.nvars,
-                    {e: c for e, c in self.terms.items() if sum(e) == n})
+        return Poly._of(self.field, self.nvars,
+                        {e: c for e, c in self.terms.items() if sum(e) == n})
 
     def truncate(self, D: int) -> "Poly":
-        return Poly(self.field, self.nvars,
-                    {e: c for e, c in self.terms.items() if sum(e) <= D})
+        return Poly._of(self.field, self.nvars,
+                        {e: c for e, c in self.terms.items() if sum(e) <= D})
 
     # arithmetic ---------------------------------------------------------
 
@@ -144,18 +158,18 @@ class Poly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = F.add(out[e], c) if e in out else c
-        return Poly(F, self.nvars, out)
+        return Poly._of(F, self.nvars, out)
 
     def __neg__(self) -> "Poly":
         F = self.field
-        return Poly(F, self.nvars, {e: F.neg(c) for e, c in self.terms.items()})
+        return Poly._of(F, self.nvars, {e: F.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def scale(self, c) -> "Poly":
         F = self.field
-        return Poly(F, self.nvars, {e: F.mul(c, v) for e, v in self.terms.items()})
+        return Poly._of(F, self.nvars, {e: F.mul(c, v) for e, v in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         return self.mul_trunc(other, math.inf)
@@ -174,7 +188,7 @@ class Poly:
                 e = mi_add(e1, e2)
                 c = F.mul(c1, c2)
                 out[e] = F.add(out[e], c) if e in out else c
-        return Poly(F, self.nvars, out)
+        return Poly._of(F, self.nvars, out)
 
     def shift(self, exps, D=None) -> "Poly":
         """Multiply by the monomial X^exps, optionally truncating at D."""
@@ -216,7 +230,7 @@ class Poly:
             if any(x % q for x in exps):
                 return None
             out[tuple(x // q for x in exps)] = F.frobenius_root(c, e)
-        return Poly(F, self.nvars, out)
+        return Poly._of(F, self.nvars, out)
 
     def substitute_linear(self, matrix) -> "Poly":
         """Replace x_i by sum_j matrix[i][j] x_j (an invertible linear change)."""

@@ -164,6 +164,12 @@ PINNED_REPORTS = {
     "gf3_monomial": ("field: GF(3)\nvars: x, y, z\ntruncation: 12\n"
                      "gen: x^3 @ 2\ngen: y^4 @ 3\ngen: z^5 @ 1\ngen: x*y*z @ 2\n",
                      "6f14970110bad8666ffb95b4bb2824f4306475fde5afec2f4db85c3abe25c34a"),
+    # near the supported envelope: level-ideal stacks of up to 10,165 rows
+    # over 3,060 columns, nearly all of them unit rows, which the presolve
+    # takes from their coordinates
+    "gf3_d4_D14": ("field: GF(3)\nvars: x, y, z, w\ntruncation: 14\n"
+                   "gen: x^3 + y^4 + z^5 @ 3\ngen: x*y*z @ 2\n",
+                   "c719b920567a5331fa1211083f209046ba00b01c5796ba2c26de83780e716c80"),
 }
 
 

@@ -77,6 +77,12 @@ def as_vec(f, ctx):
     return [f.terms.get(m, ctx.field.zero()) for m in monomial_basis(ctx.nvars, ctx.D)[0]]
 
 
+def dense(F, coords):
+    out = gls._matrix(F, coords.shape)
+    out[coords.rows, coords.cols] = coords.vals
+    return out
+
+
 def engine_basis(S):
     return S.rows.tolist(), list(S.pivots)
 
@@ -202,7 +208,8 @@ def test_multiples(case):
             want = [as_vec(g.shift(A, D), ctx) for A in mons
                     if low <= sum(A) <= D - g.order()]
             got = gls.multiples(g, ctx, low)
-            assert got.shape == (len(want), len(mons)) and got.tolist() == want
+            assert got.shape == (len(want), len(mons)) and len(got) == len(want)
+            assert dense(F, got).tolist() == want
 
 
 @ORACLE
@@ -241,7 +248,7 @@ def unit_row_cases(F):
     c = (2 % F.p ** F.m or o) if F.char else Fraction(-3, 2)  # c != 1 unless q = 2
     return [
         ([[z, c, z], [z, o, z], [o, z, z], [z, z, c]], None),  # all rows unit, duplicates
-        ([[z, z], [z, z]], (2, 2)),  # all rows zero: no singleton, the kernel gets all
+        ([[z, z], [z, z]], None),  # all rows zero: no row is left for the kernel
         ([[o, z, z], [o, o, z], [z, o, o]], None),  # e_0, e_0+e_1, e_1+e_2: no column left
         # e_0, e_0+e_1 and c*e_4 are pivots after two rounds; two rows are left on
         # columns 2 and 3, and the zero row drops
@@ -266,6 +273,50 @@ def test_presolve_leaves_only_the_residual_block(F, monkeypatch):
         shapes.clear()
         assert gls.rref(F, rows) == gauss_jordan(F, rows)
         assert shapes == ([] if shape is None else [shape])
+
+
+def coords_of(F, rows, ncols):
+    """The nonzero cells of rows as a gls.Coords, listed last cell first, so
+    that the presolve cannot rely on the order of its entries."""
+    cells = [(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row)
+             if not F.is_zero(x)][::-1]
+    r, c, v = zip(*cells) if cells else ((), (), ())
+    dtype = np.int64 if F.char else object
+    return gls.Coords(np.array(r, dtype=np.intp), np.array(c, dtype=np.intp),
+                      np.array(v, dtype=dtype), (len(rows), ncols))
+
+
+def assert_coords_match_dense(F, rows, ncols):
+    red, piv = gls._rref(F, coords_of(F, rows, ncols))
+    want = gauss_jordan(F, rows) if rows else ([], [])
+    assert (red.tolist(), piv) == want
+    assert red.shape == (len(piv), ncols)
+    if rows:
+        dense = gls._matrix(F, (len(rows), ncols), (x for row in rows for x in row))
+        red_d, piv_d = gls._rref(F, dense)
+        assert (red_d.tolist(), piv_d) == (red.tolist(), piv)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+@ORACLE
+@given(data=st.data())
+def test_coordinate_input_matches_dense(F, data):
+    rows = data.draw(mostly_unit_rows(F))
+    assert_coords_match_dense(F, rows, len(rows[0]))
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_coordinate_input_edge_cases(F):
+    z = F.zero()
+    # all-unit rows, an all-zero matrix, chained singletons that leave no
+    # column to the kernel, a residual block after two rounds, and no rows
+    for rows, _ in unit_row_cases(F):
+        assert_coords_match_dense(F, rows, len(rows[0]))
+    assert_coords_match_dense(F, [], 3)
+    assert_coords_match_dense(F, [[z, z, z]], 3)
+    if F.char and F.m == 1:  # ints outside [0, p) are read modulo p either way
+        p = F.p
+        assert_coords_match_dense(F, [[p + 1, z, 2 * p - 1], [z, p + 2, 1], [p + 1, 1, 1]], 3)
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)
@@ -401,25 +452,29 @@ def test_qq_engine_never_uses_field_arithmetic(monkeypatch):
 
 
 def test_qq_presolve_tests_each_nonzero_cell_once(monkeypatch):
-    """The zero cells of a QQ stack are the int 0, whose truth test runs in
-    C, so eliminating an ideal_image stack tests each nonzero Fraction once
-    at most, in the singleton presolve."""
+    """ideal_image hands the QQ multiples to the presolve as coordinates whose
+    values are the generators' nonzero coefficients, so no Fraction is truth
+    tested before the kernel runs (a dense stack was tested cell by cell)."""
     ctx = TruncationContext(QQ, 2, 6, frozenset())
     gens = [Poly(QQ, 2, {(2, 0): Fraction(1, 2), (0, 3): Fraction(1)}),
             Poly(QQ, 2, {(1, 1): Fraction(1), (0, 2): Fraction(-3, 5)})]
-    stack = np.vstack([gls.multiples(g, ctx) for g in gens])
-    nonzero = np.count_nonzero(stack)
-    truth = Fraction.__bool__
-    calls = []
+    truth, kernel = Fraction.__bool__, gls.rref_generic
+    calls, before_kernel = [], []
 
     def counted(a):
         calls.append(a)
         return truth(a)
 
+    def recorded(rows):
+        before_kernel.append(len(calls))
+        return kernel(rows)
+
+    monkeypatch.setattr(gls, "rref_generic", recorded)
     monkeypatch.setattr(Fraction, "__bool__", counted)
-    S = GradedSubspace.from_vectors(ctx, stack.copy())
+    S = gls.ideal_image(gens, ctx)
     monkeypatch.undo()
-    assert 0 < len(calls) <= nonzero
+    assert before_kernel == [0]
+    stack = dense(QQ, gls.Coords.stack([gls.multiples(g, ctx) for g in gens]))
     assert engine_basis(S) == gauss_jordan(QQ, stack.tolist())
 
 

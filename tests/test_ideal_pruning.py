@@ -8,7 +8,6 @@ kept, and check that no kept generator is a monomial multiple of another.
 
 from fractions import Fraction
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +30,7 @@ PRUNING = settings(max_examples=60, derandomize=True, database=None, deadline=No
 
 def unpruned(gens, ctx):
     blocks = [multiples(g, ctx) for g in gens]
-    return GradedSubspace.from_vectors(ctx, np.vstack(blocks) if blocks else [])
+    return GradedSubspace.from_vectors(ctx, gls.Coords.stack(blocks) if blocks else [])
 
 
 def nonzero_scalars(F):

@@ -44,4 +44,7 @@ def test_tracer_records_every_layer_and_uninstalls():
                  "invariants.ord_H", "pipeline.mu"):
         assert name in names, name
     assert tracer.counters["poly.mul_trunc"][0] > 0
+    # ideal_image eliminates its stacked multiples through from_vectors, whose
+    # span measures the rows handed in
+    assert tracing.layer_metrics(tracer.spans, tracer.counters, [])["gls.ideal_image.rows"] > 0
     assert idfilt.leading.pure_part is original
