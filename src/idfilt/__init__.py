@@ -7,17 +7,13 @@ and mu-tilde invariants, all with exact arithmetic.
 """
 
 from .fields import (ExtensionField, Field, FieldError, PrimeField,
-                     RationalField, binom, binom_mod_p, binom_multi,
-                     field_from_spec)
-from .poly import (Poly, TruncationContext, graded_component, mul_trunc,
-                   order_at_origin, parse_poly, pe_power_root, poly_str)
+                     RationalField, binom_mod_p, binom_multi, field_from_spec)
+from .poly import Poly, TruncationContext, parse_poly, poly_str
 from .values import SatValue
-from .diffop import (DiffOp, compose, hasse_apply, ideal_order,
-                     is_pe_power_generated, log_apply, product_rule_check)
-from .gls import (GradedSubspace, ideal_image, membership,
-                  power_m, subspace_intersect, subspace_sum)
-from .filtration import FiltrationSpec, ideal_at_level, in_support, \
-    is_integral_witness, mu_P
+from .diffop import (DiffOp, hasse_apply, ideal_order, is_pe_power_generated,
+                     log_apply, product_rule_check)
+from .gls import GradedSubspace, ideal_image, power_m
+from .filtration import FiltrationSpec, is_integral_witness
 from .saturation import (ProbeVerdict, RadicalProbeBounds, b_saturate_probe,
                          d_saturate, d_saturate_log, frobenius_probe,
                          radical_probe, theta_monomial)

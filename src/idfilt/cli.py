@@ -103,7 +103,8 @@ def main(argv=None) -> int:
         p.add_argument("--radical-n-max", type=int, default=None,
                        help="max root exponent for the radical probe")
         p.add_argument("--radical-grid", type=int, default=None,
-                       help="level grid denominator for the radical probe")
+                       help="denominator of the grid step that puts the coefficient "
+                            "check's default mu below mu_H")
         p.add_argument("--candidates", default=None,
                        help="file of extra probe candidates, '<poly> @ <level>' lines")
         return p

@@ -153,10 +153,6 @@ class DiffOp:
         return "DiffOp(" + " + ".join(bits) + ")"
 
 
-def compose(d1: DiffOp, d2: DiffOp) -> DiffOp:
-    return d1.compose(d2)
-
-
 def product_rule_check(f: Poly, g: Poly, J) -> bool:
     """d_J(fg) == sum over K+L=J of d_K(f) d_L(g); a self-test oracle."""
     J = tuple(J)

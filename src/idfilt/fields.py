@@ -49,13 +49,6 @@ def is_prime(n: int) -> bool:
 # binomial coefficients
 
 
-def binom(i: int, j: int) -> int:
-    """Exact binomial coefficient with C(i, j) = 0 when j > i or j < 0."""
-    if j < 0 or j > i:
-        return 0
-    return math.comb(i, j)
-
-
 def binom_mod_p(i: int, j: int, p: int) -> int:
     """C(i, j) mod p by digit products in base p.
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .gls import GradedSubspace, ideal_image, membership
+from .gls import GradedSubspace, ideal_image
 from .poly import Poly, TruncationContext
 from .values import SatValue, sat_min
 
@@ -196,18 +196,6 @@ class FiltrationSpec:
         return not self.mu_P().lt_certain(1)
 
 
-def ideal_at_level(F: FiltrationSpec, a) -> GradedSubspace:
-    return F.ideal_at_level(a)
-
-
-def mu_P(F: FiltrationSpec) -> SatValue:
-    return F.mu_P()
-
-
-def in_support(F: FiltrationSpec) -> bool:
-    return F.in_support()
-
-
 def is_integral_witness(F: FiltrationSpec, f: Poly, a, coeffs) -> bool:
     """Verify a monic integral dependence of (f, a) on the filtration.
 
@@ -229,6 +217,6 @@ def is_integral_witness(F: FiltrationSpec, f: Poly, a, coeffs) -> bool:
         ct = c.truncate(D)
         if ct.is_zero():
             continue
-        if not membership(ct, F.ideal_at_level(i * a)):
+        if not F.ideal_at_level(i * a).contains_poly(ct):
             return False
     return True

@@ -43,7 +43,9 @@ and certifies the rational result exactly (see _linalg); reduce_generic,
 exact object-array updates on the nonzero columns of each basis row, only
 serves the residue of a single vector.
 Containment of subspaces is one rank test, dim(S + T) == dim(S), on every
-field.  rref() offers the same engine for small matrices outside the
+field, and a meet is one Zassenhaus elimination (intersect); a coordinate
+section, the vectors supported on given columns, is the meet with their
+unit vectors.  rref() offers the same engine for small matrices outside the
 truncated ring.
 
 Before either kernel runs, _rref takes out the unit rows, on every field
@@ -379,23 +381,12 @@ class GradedSubspace:
         return GradedSubspace(ctx, red[k:, N:].copy(), [c - N for c in piv[k:]])
 
     def coordinate_section(self, keep_columns) -> "GradedSubspace":
-        """Subspace of vectors supported only on the given columns.
-
-        Columns outside keep_columns are moved first, so echelon rows whose
-        pivot lands in the kept block vanish on the rest.  The kept block
-        keeps its column order, so those rows, moved back, are canonical.
-        """
-        if self.dim == 0:
-            return self
-        ctx = self.ctx
-        N = len(monomial_basis(ctx.nvars, ctx.D)[0])
-        kept = set(keep_columns)
-        perm = sorted(range(N), key=kept.__contains__)  # stable: others, then kept
-        red, piv = _rref(ctx.field, self.rows[:, perm])
-        k = bisect_left(piv, N - len(kept))
-        back = _matrix(ctx.field, (len(piv) - k, N))
-        back[:, perm] = red[k:]
-        return GradedSubspace(ctx, back, [perm[c] for c in piv[k:]])
+        """Subspace of vectors supported only on the given columns: the meet
+        with the span of their unit vectors."""
+        keep = sorted(set(keep_columns))
+        units = _matrix(self.ctx.field, (len(keep), self.rows.shape[1]))
+        units[np.arange(len(keep)), keep] = self.ctx.field.one()
+        return self.intersect(GradedSubspace(self.ctx, units, keep))
 
     def dump(self) -> str:
         """One line per basis vector, graded-lex sorted."""
@@ -466,19 +457,6 @@ def ideal_image(gens, ctx: TruncationContext) -> GradedSubspace:
     stack."""
     blocks = [multiples(g, ctx) for g in _pruned(gens, ctx)]
     return GradedSubspace.from_vectors(ctx, Coords.stack(blocks) if blocks else [])
-
-
-def membership(f: Poly, S: GradedSubspace) -> bool:
-    """Does f lie in the subspace S."""
-    return S.contains_poly(f)
-
-
-def subspace_sum(S1: GradedSubspace, S2: GradedSubspace) -> GradedSubspace:
-    return S1.sum_with(S2)
-
-
-def subspace_intersect(S1: GradedSubspace, S2: GradedSubspace) -> GradedSubspace:
-    return S1.intersect(S2)
 
 
 def power_m(n: int, ctx: TruncationContext) -> GradedSubspace:

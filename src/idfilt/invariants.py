@@ -28,7 +28,7 @@ from fractions import Fraction
 from .diffop import DiffOp
 from .filtration import FiltrationSpec
 from .gls import Coords, GradedSubspace, monomial_basis, multiples, poly_to_vec, rref
-from .leading import LGS, linear_coefficients
+from .leading import linear_coefficients
 from .poly import Poly, TruncationContext
 from .values import SatValue, sat_min
 
@@ -67,10 +67,6 @@ class HSystem:
         self.normalized = self._normalize()
         self._filtration = None
         self._ord = {}  # f -> ord_H(f), filled by ord_H
-
-    @staticmethod
-    def from_lgs(ctx: TruncationContext, lgs: LGS) -> "HSystem":
-        return HSystem(ctx, list(lgs.entries))
 
     # --- normalizing coordinates -------------------------------------------
 

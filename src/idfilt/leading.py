@@ -55,13 +55,6 @@ class LeadingAlgebra:
         """Canonical basis of L_n, a subspace of the degree-n columns."""
         return self.F.ideal_at_level(n).graded_slice(n)
 
-    def component(self, n: int):
-        """Homogeneous basis of L_n; L_0 = [1] since I_0 is the whole ring."""
-        return self.piece(n).basis_polys()
-
-    def dim(self, n: int) -> int:
-        return self.piece(n).dim
-
 
 def leading_algebra(F: FiltrationSpec) -> LeadingAlgebra:
     """L_n = initial forms of level-n elements of order n, for n <= D.
@@ -91,7 +84,7 @@ def pure_part(L: LeadingAlgebra, e: int):
     ctx = L.ctx
     p = ctx.field.char
     if e == 0:
-        basis = L.component(1)
+        basis = L.piece(1).basis_polys()
         return basis, list(basis)
     if p == 0:
         raise FieldError("characteristic 0 has pure parts only in degree 1")
@@ -135,7 +128,6 @@ class SigmaSeq:
     """The invariant sigma: e maps to d minus the pure-part dimension."""
 
     values: tuple
-    d: int
     stabilized: bool
 
     def trimmed(self):
@@ -149,10 +141,6 @@ class SigmaSeq:
             if vals[i] != vals[i - 1]:
                 last_change = i
         return vals[: last_change + 2]
-
-    def to_json(self):
-        return {"values": list(self.values), "stabilized": self.stabilized,
-                "trimmed": self.trimmed()}
 
 
 def extract_lgs(F: FiltrationSpec, E_max: int | None = None):
@@ -195,7 +183,7 @@ def extract_lgs(F: FiltrationSpec, E_max: int | None = None):
                       and len(rows) == prev_dim)
         prev_dim = len(rows)
     lgs = LGS(tuple(entries))
-    sig = SigmaSeq(tuple(sigma_vals), ctx.nvars, stabilized)
+    sig = SigmaSeq(tuple(sigma_vals), stabilized)
     return lgs, sig, L
 
 

@@ -44,7 +44,7 @@ def _shared_sections(spec: SpecFile):
     emax = opts.emax if opts.emax is not None else default_emax(ctx)
     emax = min(emax, default_emax(ctx))  # beyond log_p D nothing is visible
     lgs, sig, _ = extract_lgs(Fb, emax)
-    H = HSystem.from_lgs(ctx, lgs)
+    H = HSystem(ctx, lgs)
 
     mu_p = F0.mu_P()
     mt = mu_tilde(Fb, H)

@@ -274,22 +274,6 @@ class Poly:
         return f"Poly({poly_str(self)})"
 
 
-def mul_trunc(f: Poly, g: Poly, ctx: TruncationContext) -> Poly:
-    return f.mul_trunc(g, ctx.D)
-
-
-def order_at_origin(f: Poly):
-    return f.order()
-
-
-def graded_component(f: Poly, n: int) -> Poly:
-    return f.graded_component(n)
-
-
-def pe_power_root(f: Poly, e: int):
-    return f.pe_power_root(e)
-
-
 def default_names(nvars: int):
     if nvars <= 3:
         return ["x", "y", "z"][:nvars]

@@ -23,13 +23,15 @@ from fractions import Fraction
 from .diffop import hasse_apply, log_apply
 from .fields import FieldError, RationalField
 from .filtration import FiltrationSpec
-from .gls import membership, monomial_basis, rref
+from .gls import monomial_basis, rref
 from .poly import Poly
 
 
 @dataclass(frozen=True)
 class RadicalProbeBounds:
-    """Search bounds: max root exponent, and the level grid denominator."""
+    """Search bounds: the max root exponent n_max, and the grid denominator,
+    which the probe does not read: it only sets the grid step by which
+    invariants.coefficient_default_mu stays below mu_H."""
 
     n_max: int = 8
     grid: int = 64
@@ -43,23 +45,14 @@ class RadicalProbeBounds:
 class ProbeVerdict:
     """Outcome of a bounded radical-membership probe.
 
-    member verdicts carry a reproducible witness exponent; not-detected is
-    inconclusive (membership may hold beyond the bounds).
+    member verdicts carry a reproducible witness exponent n, with f^n in
+    I_(n*a); not-detected is inconclusive (membership may hold beyond the
+    bounds), and precision_limited says no exponent fit the truncation.
     """
 
     member: bool
     witness_n: int | None = None
-    level_tested: Fraction | None = None
     precision_limited: bool = False
-
-    def to_json(self):
-        if self.member:
-            return {"member": True, "witness_n": self.witness_n,
-                    "level_tested": str(self.level_tested)}
-        out = {"member": False}
-        if self.precision_limited:
-            out["precision_limited"] = True
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -103,40 +96,32 @@ def d_saturate_log(F: FiltrationSpec) -> FiltrationSpec:
 # radical probe
 
 
-def _grid_point_below(a: Fraction, grid: int) -> Fraction:
-    """Largest multiple of 1/grid strictly below a."""
-    return Fraction(math.ceil(a * grid) - 1, grid)
-
-
-def _probe(F: FiltrationSpec, f: Poly, a, bounds, exponents) -> ProbeVerdict:
+def _probe(F: FiltrationSpec, f: Poly, a, exponents) -> ProbeVerdict:
     a = Fraction(a)
     if a <= 0:
         raise ValueError("probe level must be positive")
-    b = _grid_point_below(a, bounds.grid)
     degf = f.degree()
     if f.is_zero():
-        return ProbeVerdict(True, witness_n=1, level_tested=b)
+        return ProbeVerdict(True, witness_n=1)
     tried = False
     for n in exponents:
         if n * degf > F.ctx.D:
             continue
         tried = True
-        if membership(f.pow(n), F.ideal_at_level(n * b)):
-            return ProbeVerdict(True, witness_n=n, level_tested=b)
+        if F.ideal_at_level(n * a).contains_poly(f.pow(n)):
+            return ProbeVerdict(True, witness_n=n)
     return ProbeVerdict(False, precision_limited=not tried)
 
 
 def radical_probe(F: FiltrationSpec, f: Poly, a, bounds: RadicalProbeBounds) -> ProbeVerdict:
     """Bounded test for (f, a) lying in the radical saturation.
 
-    Tests f^n in I_(n*b) for n up to n_max, at the largest grid level b
-    strictly below a; the left limit over all b < a collapses to that single
-    grid point because the level ideals form a right-continuous step
-    function whose jumps the grid is assumed to refine.  One-sided: member
-    verdicts are sound (in the truncated model), not-detected is not a
-    certificate of absence.
+    Tests f^n in I_(n*a) for n up to n_max.  Such an n is a monic integral
+    dependence t^n - f^n of (f, a) whose one coefficient lies in I_(n*a),
+    so member verdicts are sound (in the truncated model); not-detected is
+    not a certificate of absence.
     """
-    return _probe(F, f, a, bounds, range(1, bounds.n_max + 1))
+    return _probe(F, f, a, range(1, bounds.n_max + 1))
 
 
 def frobenius_probe(F: FiltrationSpec, f: Poly, a, bounds: RadicalProbeBounds) -> ProbeVerdict:
@@ -154,7 +139,7 @@ def frobenius_probe(F: FiltrationSpec, f: Poly, a, bounds: RadicalProbeBounds) -
     while n <= bounds.n_max:
         exps.append(n)
         n *= p
-    return _probe(F, f, a, bounds, exps)
+    return _probe(F, f, a, exps)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +283,7 @@ def b_saturate_probe(F: FiltrationSpec, bounds: RadicalProbeBounds = RadicalProb
         if key in seen:
             continue
         seen.add(key)
-        if g.degree() <= F.ctx.D and membership(g.truncate(F.ctx.D), sat.ideal_at_level(a)):
+        if g.degree() <= F.ctx.D and sat.ideal_at_level(a).contains_poly(g.truncate(F.ctx.D)):
             continue
         verdict = radical_probe(sat, g, a, bounds)
         if verdict.member:

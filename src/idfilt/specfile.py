@@ -8,8 +8,8 @@ Line-oriented, # comments, one directive per line:
     boundary: x, y          (optional)
     gen: x^2 + y^3 @ 2      (repeatable; level is a rational)
     candidate: y @ 1        (optional; extra probe candidates)
-    radical_n_max: 8        (optional probe bounds)
-    radical_grid: 64
+    radical_n_max: 8        (optional probe bound)
+    radical_grid: 64        (optional; default-mu grid step)
     emax: 3                 (optional)
 
 Parsing reports the first error with its line number and a stable code.
@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb
 
 from .fields import Field, FieldError, field_from_spec
-from .poly import Poly, PolyParseError, TruncationContext, parse_poly, poly_str
+from .poly import PolyParseError, TruncationContext, parse_poly, poly_str
 
 MAX_VARS = 6
 MAX_TRUNC = 16

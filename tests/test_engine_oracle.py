@@ -187,7 +187,7 @@ def test_meet_power_m(case):
     ctx, gens, _ = case
     S = GradedSubspace.from_polys(ctx, gens)
     for n in range(ctx.D + 2):
-        want = gls.subspace_intersect(S, gls.power_m(n, ctx))
+        want = S.intersect(gls.power_m(n, ctx))
         assert engine_basis(S.meet_power_m(n)) == engine_basis(want)
         G = S.graded_slice(n)
         assert_canonical(G)
@@ -224,6 +224,20 @@ def test_coordinate_section(case, data):
     want = meet(F, gauss_jordan(F, [as_vec(f, ctx) for f in gens]), (coords, sorted(keep)))
     assert engine_basis(S.coordinate_section(keep)) == want
     assert_canonical(S.coordinate_section(keep))
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_coordinate_section_edges(F):
+    """Keeping every column gives S back; keeping columns that miss the
+    support of every basis row, or none, gives zero."""
+    ctx = TruncationContext(F, 2, 3, frozenset())
+    x, y = (Poly.variable(F, 2, i) for i in range(2))
+    S = GradedSubspace.from_polys(ctx, [x + y.pow(2), x * y + y.pow(3)])
+    N = len(monomial_basis(2, 3)[0])
+    assert engine_basis(S.coordinate_section(range(N))) == engine_basis(S)
+    support = set(np.flatnonzero(S.rows.any(axis=0)).tolist())
+    for keep in (set(range(N)) - support, ()):
+        assert S.coordinate_section(keep).dim == 0
 
 
 @ORACLE

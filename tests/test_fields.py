@@ -4,7 +4,7 @@ import math
 import pytest
 
 from idfilt.fields import (BUILTIN_MODULI, ExtensionField, FieldError,
-                           PrimeField, RationalField, binom, binom_mod_p,
+                           PrimeField, RationalField, binom_mod_p,
                            binom_multi, field_from_spec)
 
 

@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from idfilt.filtration import FiltrationSpec, ideal_at_level, in_support, \
-    is_integral_witness, mu_P
-from idfilt.gls import GradedSubspace, ideal_image, membership, power_m
+from idfilt.filtration import FiltrationSpec, is_integral_witness
+from idfilt.gls import GradedSubspace, ideal_image, power_m
 from idfilt.poly import Poly, poly_str
 from tests.conftest import ctx_of, mk
 
@@ -14,18 +13,18 @@ from tests.conftest import ctx_of, mk
 def test_ideal_at_level_single_generator(QQ):
     ctx = ctx_of(QQ, 2, 8)
     F = FiltrationSpec(ctx, [(mk(QQ, "x"), 1)])
-    I = ideal_at_level(F, Fraction(5, 2))
+    I = F.ideal_at_level(Fraction(5, 2))
     # minimal power: n * 1 >= 5/2 forces n = 3
-    assert membership(mk(QQ, "x^3"), I)
-    assert not membership(mk(QQ, "x^2"), I)
+    assert I.contains_poly(mk(QQ, "x^3"))
+    assert not I.contains_poly(mk(QQ, "x^2"))
 
 
 def test_ideal_at_level_empty_generators(QQ):
     ctx = ctx_of(QQ, 2, 6)
     E = FiltrationSpec(ctx, [])
-    assert ideal_at_level(E, 7).dim == 0
-    full = ideal_at_level(E, -1)
-    assert membership(Poly.one(QQ, 2), full)
+    assert E.ideal_at_level(7).dim == 0
+    full = E.ideal_at_level(-1)
+    assert full.contains_poly(Poly.one(QQ, 2))
 
 
 @pytest.mark.parametrize("name", ["F2", "F9", "QQ"])
@@ -63,10 +62,10 @@ def test_unit_generator_gives_the_whole_ring_at_every_level(F3):
 def test_ideal_at_level_products(QQ):
     ctx = ctx_of(QQ, 2, 6)
     F = FiltrationSpec(ctx, [(mk(QQ, "x"), 1), (mk(QQ, "y^2"), 2)])
-    I2 = ideal_at_level(F, 2)
-    assert membership(mk(QQ, "x^2"), I2)
-    assert membership(mk(QQ, "y^2"), I2)
-    assert not membership(mk(QQ, "x*y"), I2)
+    I2 = F.ideal_at_level(2)
+    assert I2.contains_poly(mk(QQ, "x^2"))
+    assert I2.contains_poly(mk(QQ, "y^2"))
+    assert not I2.contains_poly(mk(QQ, "x*y"))
 
 
 def test_levels_nonpositive_and_zero_gens_normalized(QQ):
@@ -80,31 +79,31 @@ def test_unit_generator_short_circuits(QQ):
     ctx = ctx_of(QQ, 2, 6)
     F = FiltrationSpec(ctx, [(mk(QQ, "1 + x"), 2)])
     assert F.trivial_full
-    assert membership(Poly.one(QQ, 2), ideal_at_level(F, 100))
-    assert mu_P(F).q == 0 and not in_support(F)
+    assert F.ideal_at_level(100).contains_poly(Poly.one(QQ, 2))
+    assert F.mu_P().q == 0 and not F.in_support()
 
 
 def test_mu_examples(QQ):
     ctx = ctx_of(QQ, 2, 8)
-    assert mu_P(FiltrationSpec(ctx, [(mk(QQ, "x^2"), 1)])).q == 2
-    got = mu_P(FiltrationSpec(ctx, [(mk(QQ, "x"), 2), (mk(QQ, "y^3"), 1)]))
+    assert FiltrationSpec(ctx, [(mk(QQ, "x^2"), 1)]).mu_P().q == 2
+    got = FiltrationSpec(ctx, [(mk(QQ, "x"), 2), (mk(QQ, "y^3"), 1)]).mu_P()
     assert got.q == Fraction(1, 2)
-    assert mu_P(FiltrationSpec(ctx, [])).is_infinite
+    assert FiltrationSpec(ctx, []).mu_P().is_infinite
 
 
 def test_mu_precision_flag(QQ):
     ctx = ctx_of(QQ, 2, 4)
     deep = FiltrationSpec(ctx, [(mk(QQ, "x^6"), 1)])
-    got = mu_P(deep)
+    got = deep.mu_P()
     assert got.kind == "at_least" and got.q == 5
-    assert in_support(deep)
+    assert deep.in_support()
 
 
 def test_in_support_examples(QQ):
     ctx = ctx_of(QQ, 2, 8)
-    assert in_support(FiltrationSpec(ctx, [(mk(QQ, "x^2"), 1)]))
-    assert not in_support(FiltrationSpec(ctx, [(mk(QQ, "x"), 2)]))
-    assert in_support(FiltrationSpec(ctx, []))
+    assert FiltrationSpec(ctx, [(mk(QQ, "x^2"), 1)]).in_support()
+    assert not FiltrationSpec(ctx, [(mk(QQ, "x"), 2)]).in_support()
+    assert FiltrationSpec(ctx, []).in_support()
 
 
 def test_level_ideals_monotone_and_multiplicative(rng, F3):
@@ -116,33 +115,33 @@ def test_level_ideals_monotone_and_multiplicative(rng, F3):
         delta = F.grid_denominator
         for k in range(1, 6):
             a = Fraction(k, delta)
-            big, small = ideal_at_level(F, a), ideal_at_level(F, a + Fraction(1, delta))
+            big, small = F.ideal_at_level(a), F.ideal_at_level(a + Fraction(1, delta))
             assert big.contains_subspace(small)
         a = Fraction(1, delta)
-        Ia, I2a = ideal_at_level(F, a), ideal_at_level(F, 2 * a)
+        Ia, I2a = F.ideal_at_level(a), F.ideal_at_level(2 * a)
         for f in Ia.basis_polys()[:4]:
             for g in Ia.basis_polys()[:4]:
-                assert membership(f.mul_trunc(g, ctx.D), I2a)
+                assert I2a.contains_poly(f.mul_trunc(g, ctx.D))
 
 
 def test_level_ideal_grid_step(QQ):
     ctx = ctx_of(QQ, 2, 6)
     F = FiltrationSpec(ctx, [(mk(QQ, "x"), Fraction(3, 2))])
     # the ideal only changes when ceil(2a) does
-    assert ideal_at_level(F, Fraction(5, 4)).equals(
-        ideal_at_level(F, Fraction(6, 4)))
-    assert not ideal_at_level(F, Fraction(6, 4)).equals(
-        ideal_at_level(F, Fraction(7, 4)))
+    assert F.ideal_at_level(Fraction(5, 4)).equals(
+        F.ideal_at_level(Fraction(6, 4)))
+    assert not F.ideal_at_level(Fraction(6, 4)).equals(
+        F.ideal_at_level(Fraction(7, 4)))
 
 
 def test_mu_P_brute_force_cross_check(rng, F2):
     # the min over generators equals the inf over sampled ideal elements
     ctx = ctx_of(F2, 2, 8)
     F = FiltrationSpec(ctx, [(mk(F2, "x^2 + y^3"), 2), (mk(F2, "y^2"), 1)])
-    mu = mu_P(F).q
+    mu = F.mu_P().q
     worst = None
     for a in (1, 2, 3):
-        I = ideal_at_level(F, a)
+        I = F.ideal_at_level(a)
         for f in I.basis_polys():
             if f.is_zero():
                 continue

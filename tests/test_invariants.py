@@ -75,7 +75,7 @@ def test_ord_h_examples(F2):
 
 def test_ord_h_matches_definition_randomized(rng, F2, F5, QQ):
     # the single-reduction shortcut equals the definitional membership scan
-    from idfilt.gls import power_m, subspace_sum
+    from idfilt.gls import power_m
     from idfilt.verify import rand_poly
     for F in (F2, F5, QQ):
         ctx = ctx_of(F, 2, 8)
@@ -87,7 +87,7 @@ def test_ord_h_matches_definition_randomized(rng, F2, F5, QQ):
             got = ord_H(f, H)
             want = None
             for n in range(0, ctx.D + 2):
-                S = subspace_sum(power_m(n, ctx), H.ideal_space())
+                S = power_m(n, ctx).sum_with(H.ideal_space())
                 if not S.contains_poly(f):
                     want = n - 1
                     break
@@ -99,12 +99,12 @@ def test_ord_h_matches_definition_randomized(rng, F2, F5, QQ):
 
 def test_ord_h_degreewise_obstruction(F2):
     # y^3 in m^3 + (H) but not in m^4 + (H): check against the direct sums
-    from idfilt.gls import membership, power_m, subspace_sum
+    from idfilt.gls import power_m
     ctx = ctx_of(F2, 2, 10)
     H = HSystem(ctx, [(mk(F2, "x^2 + y^3"), 1)])
     f = mk(F2, "y^3")
     for n in range(0, ctx.D + 1):
-        direct = membership(f, subspace_sum(power_m(n, ctx), H.ideal_space()))
+        direct = power_m(n, ctx).sum_with(H.ideal_space()).contains_poly(f)
         assert direct == (n <= 3)
 
 
@@ -112,7 +112,7 @@ def test_mu_tilde_examples(F2):
     ctx = ctx_of(F2, 2, 10)
     F = showcase_sat(F2)
     lgs, _, _ = extract_lgs(F)
-    H = HSystem.from_lgs(ctx, lgs)
+    H = HSystem(ctx, lgs)
     got = mu_tilde(F, H)
     assert got.is_exact and got.q == 2
     Fx = FiltrationSpec(ctx, [(mk(F2, "x"), 1)])
@@ -127,7 +127,7 @@ def test_mu_tilde_brute_force(F2):
     ctx = ctx_of(F2, 2, 10)
     F = showcase_sat(F2)
     lgs, _, _ = extract_lgs(F)
-    H = HSystem.from_lgs(ctx, lgs)
+    H = HSystem(ctx, lgs)
     W = H.ideal_space()
     best = None
     for k in range(1, ctx.D + 1):
@@ -207,7 +207,7 @@ def test_coefficient_examples(F2, QQ):
     ctx = ctx_of(F2, 2, 10)
     F = showcase_sat(F2)
     lgs, _, _ = extract_lgs(F)
-    H = HSystem.from_lgs(ctx, lgs)
+    H = HSystem(ctx, lgs)
     mu2 = coefficient_default_mu(F, H)
     for a in (1, Fraction(3, 2), 2, 3):
         assert coefficient_decompose_check(F, H, a, mu2)
@@ -217,7 +217,7 @@ def test_coefficient_hypothesis_violation(F2):
     ctx = ctx_of(F2, 2, 10)
     F = showcase_sat(F2)
     lgs, _, _ = extract_lgs(F)
-    H = HSystem.from_lgs(ctx, lgs)
+    H = HSystem(ctx, lgs)
     with pytest.raises(ValueError):
         coefficient_decompose_check(F, H, 1, Fraction(5))  # mu >= mu_H = 2
 
@@ -227,7 +227,7 @@ def test_nonsingularity_showcase(F2):
     spec = FiltrationSpec(ctx, [(mk(F2, "x"), 1), (mk(F2, "y^2"), 2)])
     sat, added = b_saturate_probe(spec)
     lgs, _, _ = extract_lgs(sat)
-    H = HSystem.from_lgs(ctx, lgs)
+    H = HSystem(ctx, lgs)
     assert [(poly_str(h), e) for h, e in H.entries] == [("x", 0), ("y", 0)]
     rep = nonsingularity_check(sat, H, probe_saturated=True)
     assert rep["passed"]
@@ -235,7 +235,7 @@ def test_nonsingularity_showcase(F2):
 
     only_d = d_saturate(FiltrationSpec(ctx, [(mk(F2, "y^2"), 2)]))
     lgs2, _, _ = extract_lgs(only_d)
-    H2 = HSystem.from_lgs(ctx, lgs2)
+    H2 = HSystem(ctx, lgs2)
     rep2 = nonsingularity_check(only_d, H2)
     assert not rep2["passed"] and not rep2["all_level_one"]["ok"]
     assert "radical-saturated" in rep2["all_level_one"]["diagnosis"]
@@ -243,14 +243,14 @@ def test_nonsingularity_showcase(F2):
     simple = FiltrationSpec(ctx, [(mk(F2, "x"), 1)])
     sat3, _ = b_saturate_probe(simple)
     lgs3, _, _ = extract_lgs(sat3)
-    assert nonsingularity_check(sat3, HSystem.from_lgs(ctx, lgs3),
+    assert nonsingularity_check(sat3, HSystem(ctx, lgs3),
                                 probe_saturated=True)["passed"]
 
 
 def test_nonsingularity_requires_infinite_mu(F2):
     F = showcase_sat(F2)
     lgs, _, _ = extract_lgs(F)
-    H = HSystem.from_lgs(F.ctx, lgs)
+    H = HSystem(F.ctx, lgs)
     with pytest.raises(ValueError):
         nonsingularity_check(F, H)
 
@@ -358,7 +358,7 @@ def test_generated_by_h_builds_no_grid_level(F2, monkeypatch):
     sat, _ = b_saturate_probe(FiltrationSpec(
         ctx, [(mk(F2, "x"), Fraction(1, 800)), (mk(F2, "x"), 1)]))
     lgs, _, _ = extract_lgs(sat)
-    H = HSystem.from_lgs(ctx, lgs)
+    H = HSystem(ctx, lgs)
     Fx = FiltrationSpec(ctx, sat.gens)  # a fresh level cache
     assert len(Fx.grid_levels()) == 4800
     built = count_products(monkeypatch)
@@ -436,17 +436,17 @@ def test_analyze_reduces_each_generator_once_modulo_h(monkeypatch):
     # ord_H table, mu-tilde, and the hypotheses of the nonsingularity and
     # coefficient checks
     systems, reduced = [], []
-    from_lgs, reduce_poly = HSystem.from_lgs, GradedSubspace.reduce_poly
+    init, reduce_poly = HSystem.__init__, GradedSubspace.reduce_poly
 
-    def recorded(ctx, lgs):
-        systems.append(from_lgs(ctx, lgs))
-        return systems[-1]
+    def recorded(self, ctx, entries):
+        init(self, ctx, entries)
+        systems.append(self)
 
     def counted(self, f):
         reduced.append((self, f))
         return reduce_poly(self, f)
 
-    monkeypatch.setattr(HSystem, "from_lgs", staticmethod(recorded))
+    monkeypatch.setattr(HSystem, "__init__", recorded)
     monkeypatch.setattr(GradedSubspace, "reduce_poly", counted)
     report = analyze(parse_spec(INFINITE_MU))
     assert report["nonsingularity"]["applicable"]

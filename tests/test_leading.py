@@ -21,20 +21,20 @@ def showcase(F, D=10):
 def test_leading_algebra_char0(QQ):
     # d_x contributes (2x, 1); d_y lands in degree 2 and dies in G_1
     L = leading_algebra(showcase(QQ))
-    assert [poly_str(f) for f in L.component(1)] == ["x"]
+    assert [poly_str(f) for f in L.piece(1).basis_polys()] == ["x"]
 
 
 def test_leading_algebra_char2(F2):
     L = leading_algebra(showcase(F2))
-    assert L.component(1) == []
-    assert [poly_str(f) for f in L.component(2)] == ["x^2"]
+    assert L.piece(1).basis_polys() == []
+    assert [poly_str(f) for f in L.piece(2).basis_polys()] == ["x^2"]
 
 
 def test_leading_algebra_empty(F2):
     ctx = ctx_of(F2, 2, 6)
     L = leading_algebra(d_saturate(FiltrationSpec(ctx, [])))
-    assert all(L.dim(n) == 0 for n in range(1, 7))
-    assert L.dim(0) == 1
+    assert all(L.piece(n).dim == 0 for n in range(1, 7))
+    assert L.piece(0).dim == 1
 
 
 def test_leading_algebra_is_multiplicative(F2):
@@ -44,9 +44,9 @@ def test_leading_algebra_is_multiplicative(F2):
         for b in range(1, 5):
             if a + b > ctx.D:
                 continue
-            target = GradedSubspace.from_polys(ctx, L.component(a + b))
-            for f in L.component(a):
-                for g in L.component(b):
+            target = GradedSubspace.from_polys(ctx, L.piece(a + b).basis_polys())
+            for f in L.piece(a).basis_polys():
+                for g in L.piece(b).basis_polys():
                     assert target.contains_poly(f.mul_trunc(g, ctx.D))
 
 
@@ -60,11 +60,11 @@ def test_pure_part_examples(F2, QQ):
     assert [poly_str(f) for f in roots1] == ["x"]
     gens = [(mk(F2, "x^2"), 2), (mk(F2, "x*y"), 2)]
     L2 = leading_algebra(FiltrationSpec(ctx, gens))
-    assert {poly_str(f) for f in L2.component(2)} == {"x^2", "x*y"}
+    assert {poly_str(f) for f in L2.piece(2).basis_polys()} == {"x^2", "x*y"}
     pb, roots = pure_part(L2, 1)
     assert [poly_str(f) for f in pb] == ["x^2"]
     L3 = leading_algebra(FiltrationSpec(ctx, [(mk(F2, "x^2 + y^2"), 2)]))
-    assert [poly_str(f) for f in L3.component(2)] == ["x^2 + y^2"]
+    assert [poly_str(f) for f in L3.piece(2).basis_polys()] == ["x^2 + y^2"]
     pb2, roots2 = pure_part(L3, 1)
     assert [poly_str(f) for f in roots2] == ["x + y"]
     # characteristic zero only has the degree-one pure part

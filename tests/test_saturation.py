@@ -5,10 +5,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from idfilt.filtration import FiltrationSpec, ideal_at_level
-from idfilt.gls import membership, rref
+from idfilt.filtration import FiltrationSpec
+from idfilt.gls import rref
 from idfilt.poly import Poly, poly_str
-from idfilt.saturation import (ProbeVerdict, RadicalProbeBounds, _theta_lp,
+from idfilt.saturation import (RadicalProbeBounds, _theta_lp,
                                b_saturate_probe, d_saturate, d_saturate_log,
                                frobenius_probe, radical_probe, theta_monomial)
 from idfilt.fields import FieldError, RationalField
@@ -61,6 +61,21 @@ def test_radical_probe_examples(QQ):
     assert not radical_probe(F, mk(QQ, "y"), 1, bounds).member
     member_direct = radical_probe(F, mk(QQ, "x^2"), 2, bounds)
     assert member_direct.member and member_direct.witness_n == 1
+
+
+@pytest.mark.parametrize("gens, f, a", [
+    # theta puts y at level exactly 1 over (x @ 1, y^2 @ 2)
+    ([("x", 1), ("y^2", 2)], "y", Fraction(65, 64)),
+    ([("x", 1), ("y^2", 2)], "y", Fraction(129, 128)),
+    # no level a > 0 holds a unit, nor y when x alone generates
+    ([("x", 1)], "1", Fraction(1, 64)),
+    ([("x", 1)], "y", Fraction(1, 128)),
+])
+def test_radical_probe_tests_level_a_itself(F2, gens, f, a):
+    """f^n is tested in I_(n*a): a level ideal is constant on each interval
+    ((k-1)/delta, k/delta], so one at a lower level is a larger ideal."""
+    spec = FiltrationSpec(ctx_of(F2, 2, 10), [(mk(F2, g), b) for g, b in gens])
+    assert not radical_probe(spec, mk(F2, f), a, RadicalProbeBounds()).member
 
 
 def test_radical_probe_precision_flag(QQ):
@@ -248,7 +263,7 @@ def test_b_saturate_probe_examples(F2):
     F = FiltrationSpec(ctx, [(mk(F2, "y^2"), 2)])
     sat, added = b_saturate_probe(F)
     assert [(poly_str(g), str(a), n) for g, a, n in added] == [("y", "1", 2)]
-    assert membership(mk(F2, "y"), sat.ideal_at_level(1))
+    assert sat.ideal_at_level(1).contains_poly(mk(F2, "y"))
     # already saturated: unchanged
     G = FiltrationSpec(ctx, [(mk(F2, "x"), 1)])
     sat2, added2 = b_saturate_probe(G)
@@ -288,7 +303,7 @@ def test_b_saturate_theta_upgrade(QQ):
     sat, added = b_saturate_probe(F)
     raised = [a for g, a, _ in added if poly_str(g) == "x"]
     assert raised and max(raised) == Fraction(1, 2)
-    assert membership(mk(QQ, "x"), sat.ideal_at_level(Fraction(1, 2)))
+    assert sat.ideal_at_level(Fraction(1, 2)).contains_poly(mk(QQ, "x"))
 
 
 def test_bounds_validation():
@@ -296,9 +311,3 @@ def test_bounds_validation():
         RadicalProbeBounds(0, 64)
     with pytest.raises(ValueError):
         RadicalProbeBounds(8, 0)
-
-
-def test_probe_verdict_json():
-    assert ProbeVerdict(True, 2, Fraction(63, 64)).to_json()["witness_n"] == 2
-    assert ProbeVerdict(False, precision_limited=True).to_json()[
-        "precision_limited"]
