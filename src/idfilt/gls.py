@@ -20,36 +20,36 @@ canonical basis describes it completely.  The multipliers X^A with
 low <= |A| <= k are one column range, so multiples(g, ctx, low) gives each
 term c X^e of g as coordinates through the cached shift map of X^e (a
 Coords: rows, columns, values), and ideal_image stacks those of a pruned
-generating set and returns the GradedSubspace they span; no dense stack is
-built.  A generator that is a monomial multiple c X^E q of a kept generator
-q adds no row outside the span of the others, so it is dropped first.  The
-span, and so the canonical basis, is the same; on saturated level ideals
-most minimal generator products are such multiples (GF(3), d=3, D=12,
-level 3: 137 minimal products and 9,024 rows become 16 and 1,704).
+generating set and returns the GradedSubspace they span.  A generator
+that is a monomial multiple c X^E q of a kept generator q adds no row
+outside the span of the others, so it is dropped first.  The span, and so
+the canonical basis, is the same; on saturated level ideals most minimal
+generator products are such multiples (GF(3), d=3, D=12, level 3: 137
+minimal products and 9,024 rows become 16 and 1,704).
 
 Every basis, over every field, is one 2-D numpy array: int64 over a finite
 field (residues in [0, p) over GF(p), the field's int codes in [0, q) over
 GF(p^m)) and an object array over QQ, whose nonzero cells are Fractions and
 whose zero cells are numpy's own int 0, so that a truth test of a zero cell
 runs in C (a zero may also be Fraction(0); no code reads which type a zero
-has).  Row selection, stacking, scattering and comparison are therefore one
-code path, and a zero test is `not v.any()` in both formats; only the
-private helpers _matrix, _rref, _eliminate and _reduce know the format and
-pick the kernel: the numpy kernel (rref_mod_p / reduce_mod_p, with the
-field's lookup tables over GF(p^m)) for every finite field, rref_generic /
-reduce_generic for QQ.  Over QQ,
-rref_generic eliminates modulo word-size primes in that same numpy kernel
-and certifies the rational result exactly (see _linalg); reduce_generic,
-exact object-array updates on the nonzero columns of each basis row, only
-serves the residue of a single vector.
+has).  Row selection, scattering and comparison are therefore one code
+path, and a zero test is `not v.any()` in both formats; only the private
+helpers _matrix, _rref and _reduce know the format and pick the kernel:
+the numpy kernel (rref_mod_p / reduce_mod_p, with the field's lookup tables
+over GF(p^m)) for every finite field, rref_generic / reduce_generic for QQ.
+Over QQ, rref_generic eliminates modulo word-size primes in that same
+numpy kernel and certifies the rational result exactly (see _linalg);
+reduce_generic, exact object-array updates on the nonzero columns of each
+basis row, only serves the residue of a single vector.
 Containment of subspaces is one rank test, dim(S + T) == dim(S), on every
 field, and a meet is one Zassenhaus elimination (intersect); a coordinate
 section, the vectors supported on given columns, is the meet with their
 unit vectors.  rref() offers the same engine for small matrices outside the
 truncated ring.
 
-Before either kernel runs, _rref takes out the unit rows, on every field
-alike, from coordinates (a dense input's after one np.nonzero): the
+Every stack reaches _rref as coordinates, none built dense: multiples,
+polynomials (Coords.of_polys), and the bases a sum, a meet or a check
+stacks (Coords.of_rows).  _rref first takes out the unit rows: the
 multiples X^A g are mostly rows with one nonzero, whose columns U are then
 pivot columns of the RREF with unit rows e_c.  Clearing U from the other
 rows can leave new singletons, so this repeats; it is the singleton step of
@@ -72,7 +72,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -110,17 +109,13 @@ def _shift_map(nvars: int, D: int, e):
 # indexes, stacks and compares the 2-D arrays they return.
 
 
-def _matrix(field, shape, cells=None):
-    """A matrix in the field's array format, zero or filled row-major from
-    the iterable cells: int64 entries (residues in [0, p) for GF(p), codes
-    in [0, q) for GF(p^m)) over a finite field, an object array over QQ
-    whose zero cells are the int 0."""
-    dtype = np.int64 if field.char else object
-    if cells is not None:
-        return np.fromiter(cells, dtype=dtype, count=np.prod(shape)).reshape(shape)
+def _matrix(field, shape):
+    """A zero matrix in the field's array format: int64 entries (residues in
+    [0, p) for GF(p), codes in [0, q) for GF(p^m)) over a finite field, an
+    object array over QQ whose zero cells are the int 0."""
     # int64 zeros come from calloc, so unwritten zero pages stay free; an
     # object array is written through, one reference to the int 0 a cell
-    return np.zeros(shape, dtype=dtype)
+    return np.zeros(shape, dtype=np.int64 if field.char else object)
 
 
 class Coords:
@@ -145,37 +140,50 @@ class Coords:
                       np.concatenate([b.vals for b in blocks]),
                       (int(offsets[-1]), blocks[0].shape[1]))
 
+    @staticmethod
+    def of_rows(mat):
+        """The nonzero entries of a matrix in the field's format."""
+        r, c = mat.nonzero()
+        return Coords(r, c, mat[r, c], mat.shape)
 
-def _rref(field, rows):
-    """(canonical RREF rows as a matrix, pivot columns as ints) of a nonempty
-    list of vectors in the field's format, of a matrix, which may be
-    overwritten, or of a Coords.
+    @staticmethod
+    def of_polys(polys, ctx):
+        """One row per polynomial, holding its terms of degree <= D."""
+        mons, index, _ = monomial_basis(ctx.nvars, ctx.D)
+        cells = [(i, index[e], c) for i, f in enumerate(polys)
+                 for e, c in f.terms.items() if e in index]
+        r, c, vals = zip(*cells) if cells else ((), (), ())
+        return Coords(np.array(r, dtype=np.intp), np.array(c, dtype=np.intp),
+                      np.array(vals, dtype=np.int64 if ctx.field.char else object),
+                      (len(polys), len(mons)))
 
-    The singleton presolve runs on coordinates, those of a dense input after
-    one np.nonzero.  The kernel eliminates only the rows it leaves nonzero,
-    on the columns it has not taken, made dense; the unit rows e_c of the
-    taken columns c join its RREF rows at their sorted pivot positions."""
-    if not isinstance(rows, Coords):
-        mat = np.asarray(rows) if field.char else np.asarray(rows, dtype=object)
-        if field.char and field.tables is None:
-            np.remainder(mat, field.p, out=mat)
-        r, c = np.nonzero(mat)
-        if np.bincount(r, minlength=len(mat)).min() > 1:  # no singleton, no zero row
-            return _eliminate(field, mat)
-        rows = Coords(r, c, mat[r, c], mat.shape)
-    taken, cnt, left = _singletons(rows.rows, rows.cols, rows.shape)
-    units, free, live = np.flatnonzero(taken), np.flatnonzero(~taken), np.flatnonzero(cnt)
-    r, c, vals = rows.rows[left], rows.cols[left], rows.vals[left]
+
+def _rref(field, stack):
+    """(canonical RREF rows as a matrix, pivot columns as ints) of the rows
+    of a Coords.
+
+    The singleton presolve takes the unit rows out; the field's kernel
+    eliminates only the rows it leaves nonzero, on the columns it has not
+    taken, made dense, and the unit rows e_c of the taken columns c join its
+    RREF rows at their sorted pivot positions."""
+    taken, cnt, left = _singletons(stack.rows, stack.cols, stack.shape)
+    units, free, live = taken.nonzero()[0], (~taken).nonzero()[0], cnt.nonzero()[0]
+    r, c, vals = stack.rows[left], stack.cols[left], stack.vals[left]
     if field.char and field.tables is None:
         vals %= field.p  # Poly coefficients may lie outside [0, p)
     block = _matrix(field, (live.size, free.size))
-    block[np.searchsorted(live, r), np.searchsorted(free, c)] = vals
-    red, piv = _eliminate(field, block) if live.size else (block, [])
+    block[live.searchsorted(r), free.searchsorted(c)] = vals
+    if not live.size:
+        red, piv = block, []
+    elif field.char:
+        red, piv = rref_mod_p(block, field.p, field.tables)
+    else:
+        red, piv = rref_generic(list(block))
     piv = free[piv]
     pivots = np.sort(np.concatenate([units, piv]))
-    out = _matrix(field, (len(pivots), rows.shape[1]))
-    out[np.searchsorted(pivots, units), units] = field.one()
-    out[np.ix_(np.searchsorted(pivots, piv), free)] = red
+    out = _matrix(field, (len(pivots), stack.shape[1]))
+    out[pivots.searchsorted(units), units] = field.one()
+    out[pivots.searchsorted(piv)[:, None], free] = red
     return out, pivots.tolist()
 
 
@@ -199,14 +207,6 @@ def _singletons(r, c, shape):
         r, c, left = r[stay], c[stay], left[stay]
 
 
-def _eliminate(field, mat):
-    """_rref of a matrix by the field's kernel alone."""
-    if field.char:
-        red, piv = rref_mod_p(mat, field.p, field.tables)
-        return red, piv.tolist()
-    return rref_generic(list(mat))
-
-
 def _reduce(field, rows, pivots, v):
     """Residue of the vector v modulo the row space of an RREF basis."""
     if field.char:
@@ -223,8 +223,10 @@ def rref(field, rows):
     """
     if not rows:
         return [], []
-    mat = _matrix(field, (len(rows), len(rows[0])), chain.from_iterable(rows))
-    red, piv = _rref(field, mat)
+    mat = np.array(rows, dtype=np.int64 if field.char else object)
+    if field.char and field.tables is None:
+        mat %= field.p  # else an entry p alone in its row would be a unit pivot
+    red, piv = _rref(field, Coords.of_rows(mat))
     zero = field.zero()
     return [[x if x else zero for x in row] for row in red.tolist()], piv
 
@@ -264,22 +266,16 @@ class GradedSubspace:
 
     @staticmethod
     def from_polys(ctx, polys) -> "GradedSubspace":
-        vecs = [poly_to_vec(f.truncate(ctx.D), ctx) for f in polys if not f.is_zero()]
-        return GradedSubspace.from_vectors(ctx, vecs)
+        return GradedSubspace.from_vectors(ctx, Coords.of_polys(polys, ctx))
 
     @staticmethod
-    def from_vectors(ctx, vecs) -> "GradedSubspace":
-        """Echelon basis of the span of a list of vectors, of the rows of a
-        matrix (which may be overwritten) or of a Coords."""
-        if len(vecs) == 0:
-            N = len(monomial_basis(ctx.nvars, ctx.D)[0])
-            return GradedSubspace(ctx, _matrix(ctx.field, (0, N)), ())
-        rows, piv = _rref(ctx.field, vecs)
-        return GradedSubspace(ctx, rows, piv)
+    def from_vectors(ctx, stack) -> "GradedSubspace":
+        """Echelon basis of the span of a Coords' rows (none: the zero space)."""
+        return GradedSubspace(ctx, *_rref(ctx.field, stack))
 
     @staticmethod
     def zero(ctx) -> "GradedSubspace":
-        return GradedSubspace.from_vectors(ctx, [])
+        return GradedSubspace.from_polys(ctx, [])
 
     # queries --------------------------------------------------------------
 
@@ -310,14 +306,9 @@ class GradedSubspace:
         return self.sum_with(other).dim == self.dim
 
     def equals(self, other: "GradedSubspace") -> bool:
-        """Same canonical basis.  Once the pivots agree, the pivot columns of
-        both bases are the same identity columns, so only the others count."""
+        """Same canonical basis: the same pivots, then the same rows."""
         self._check_ctx(other)
-        if self.pivots != other.pivots:
-            return False
-        free = np.ones(self.rows.shape[1], dtype=bool)
-        free[list(self.pivots)] = False
-        return bool(np.array_equal(self.rows[:, free], other.rows[:, free]))
+        return self.pivots == other.pivots and bool(np.array_equal(self.rows, other.rows))
 
     def pivot_degrees(self):
         _, _, degree_of = monomial_basis(self.ctx.nvars, self.ctx.D)
@@ -350,6 +341,10 @@ class GradedSubspace:
     def basis_polys(self):
         return [vec_to_poly(row, self.ctx) for row in self.rows]
 
+    def basis_coords(self) -> Coords:
+        """The canonical basis rows as a stack."""
+        return Coords.of_rows(self.rows)
+
     # subspace arithmetic ---------------------------------------------------
 
     def sum_with(self, other: "GradedSubspace") -> "GradedSubspace":
@@ -358,26 +353,24 @@ class GradedSubspace:
             return other
         if other.dim == 0:
             return self
-        rows, piv = _rref(self.ctx.field, np.vstack([self.rows, other.rows]))
-        return GradedSubspace(self.ctx, rows, piv)
+        stack = Coords.stack([self.basis_coords(), other.basis_coords()])
+        return GradedSubspace(self.ctx, *_rref(self.ctx.field, stack))
 
     def intersect(self, other: "GradedSubspace") -> "GradedSubspace":
-        """Zassenhaus: reduce [[A A],[B 0]]; the rows with a pivot in the
-        right half vanish on the left one, and their right halves are the
-        canonical basis of the meet."""
+        """Zassenhaus: reduce [[A A],[B 0]], written as coordinates; the rows
+        with a pivot in the right half vanish on the left one, and their
+        right halves are the canonical basis of the meet."""
         self._check_ctx(other)
         ctx = self.ctx
         if self.dim == 0 or other.dim == 0:
             return GradedSubspace.zero(ctx)
-        F = ctx.field
-        N = len(monomial_basis(ctx.nvars, ctx.D)[0])
-        a, b = len(self.rows), len(other.rows)
-        block = _matrix(F, (a + b, 2 * N))
-        block[:a, :N] = self.rows
-        block[:a, N:] = self.rows
-        block[a:, :N] = other.rows
-        red, piv = _rref(F, block)
-        k = bisect_left(piv, N)  # a copy, so the 2N-wide block can be freed
+        A, B = self.basis_coords(), other.basis_coords()
+        a, N = self.dim, A.shape[1]
+        block = Coords(np.concatenate([A.rows, A.rows, B.rows + a]),
+                       np.concatenate([A.cols, A.cols + N, B.cols]),
+                       np.concatenate([A.vals, A.vals, B.vals]), (a + other.dim, 2 * N))
+        red, piv = _rref(ctx.field, block)
+        k = bisect_left(piv, N)  # a copy, so the 2N-wide rows can be freed
         return GradedSubspace(ctx, red[k:, N:].copy(), [c - N for c in piv[k:]])
 
     def coordinate_section(self, keep_columns) -> "GradedSubspace":
@@ -455,8 +448,8 @@ def ideal_image(gens, ctx: TruncationContext) -> GradedSubspace:
     monomial multiples of kept generators, which add no row outside the span
     of the rest.  So the span, and the canonical basis, is that of the full
     stack."""
-    blocks = [multiples(g, ctx) for g in _pruned(gens, ctx)]
-    return GradedSubspace.from_vectors(ctx, Coords.stack(blocks) if blocks else [])
+    blocks = [multiples(g, ctx) for g in _pruned(gens, ctx)] or [Coords.of_polys([], ctx)]
+    return GradedSubspace.from_vectors(ctx, Coords.stack(blocks))
 
 
 def power_m(n: int, ctx: TruncationContext) -> GradedSubspace:

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .diffop import DiffOp
 from .filtration import FiltrationSpec
-from .gls import Coords, GradedSubspace, monomial_basis, multiples, poly_to_vec, rref
+from .gls import Coords, GradedSubspace, monomial_basis, multiples, rref
 from .leading import linear_coefficients
 from .poly import Poly, TruncationContext
 from .values import SatValue, sat_min
@@ -44,7 +44,7 @@ class HSystem:
     not checked here.
     """
 
-    __slots__ = ("ctx", "entries", "roots", "normalized", "_filtration", "_ord")
+    __slots__ = ("ctx", "entries", "roots", "normalized", "_filtration", "_ord", "_du_row")
 
     def __init__(self, ctx: TruncationContext, entries):
         entries = sorted(entries, key=lambda he: he[1])
@@ -67,6 +67,7 @@ class HSystem:
         self.normalized = self._normalize()
         self._filtration = None
         self._ord = {}  # f -> ord_H(f), filled by ord_H
+        self._du_row = None  # D_u's coefficient row, filled by build_Du
 
     # --- normalizing coordinates -------------------------------------------
 
@@ -225,14 +226,15 @@ def build_Du(H: HSystem, u: int) -> DiffOp:
         raise ValueError("u out of range for this system")
     q = H.level(0)
     L = H.min_block
-    last = _inverse_last_row(H, du_matrix(H))
+    if H._du_row is None:
+        H._du_row = _inverse_last_row(H, du_matrix(H))
     summands = []
     mons, _, degree_of = monomial_basis(L, u)
     for T in mons[bisect_left(degree_of, u):]:  # the exponents of degree u
         coeff = Poly.one(ctx.field, ctx.nvars)
         for j, t in enumerate(T):
             if t:
-                coeff = coeff.mul_trunc(last[j].pow_trunc(t, ctx.D), ctx.D)
+                coeff = coeff.mul_trunc(H._du_row[j].pow_trunc(t, ctx.D), ctx.D)
         if coeff.is_zero():
             continue
         J = tuple(q * T[i] if i < L else 0 for i in range(ctx.nvars))
@@ -369,19 +371,19 @@ def coefficient_decompose_check(F: FiltrationSpec, H: HSystem, a, mu) -> bool:
     lhs = F.ideal_at_level(a)
     if a <= 0:
         return lhs.dim == len(monomial_basis(ctx.nvars, ctx.D)[0])
-    rows = list(H.filtration().ideal_at_level(a).rows)
+    blocks = [H.filtration().ideal_at_level(a).basis_coords()]
     for B in _b_range(H, a):
         hb = _h_power(H, B, ctx.D)
         if hb.is_zero():
             continue
         t = a - sum(b * H.level(l) for l, b in enumerate(B))
         it = F.ideal_at_level(t).meet_power_m(math.ceil(mu * t))
-        if not any(B):  # H^B = 1: the rows of I'_a as they are
-            rows += list(it.rows)
+        if not any(B):  # H^B = 1: the basis of I'_a as it is
+            blocks.append(it.basis_coords())
             continue
-        prods = (f.mul_trunc(hb, ctx.D) for f in it.basis_polys())
-        rows += [poly_to_vec(g, ctx) for g in prods if not g.is_zero()]
-    return GradedSubspace.from_vectors(ctx, rows).equals(lhs)
+        prods = [f.mul_trunc(hb, ctx.D) for f in it.basis_polys()]
+        blocks.append(Coords.of_polys(prods, ctx))
+    return GradedSubspace.from_vectors(ctx, Coords.stack(blocks)).equals(lhs)
 
 
 def supporting3_check(H: HSystem, r: int) -> bool:
@@ -391,8 +393,8 @@ def supporting3_check(H: HSystem, r: int) -> bool:
         raise ValueError("r out of range")
     lhs = H.ideal_space().meet_power_m(r)
     blocks = [multiples(h, ctx, max(0, r - H.level(l)))
-              for l, (h, _) in enumerate(H.entries)]
-    return lhs.equals(GradedSubspace.from_vectors(ctx, Coords.stack(blocks) if blocks else []))
+              for l, (h, _) in enumerate(H.entries)] or [Coords.of_polys([], ctx)]
+    return lhs.equals(GradedSubspace.from_vectors(ctx, Coords.stack(blocks)))
 
 
 # ---------------------------------------------------------------------------

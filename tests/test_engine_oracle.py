@@ -90,7 +90,7 @@ def engine_basis(S):
 def assert_canonical(S):
     """S is already the canonical basis of its span: eliminating its own
     rows again gives the same rows and pivots."""
-    assert engine_basis(GradedSubspace.from_vectors(S.ctx, S.rows.copy())) == engine_basis(S)
+    assert engine_basis(GradedSubspace.from_vectors(S.ctx, S.basis_coords())) == engine_basis(S)
 
 
 # inputs ----------------------------------------------------------------------
@@ -300,15 +300,12 @@ def coords_of(F, rows, ncols):
                       np.array(v, dtype=dtype), (len(rows), ncols))
 
 
-def assert_coords_match_dense(F, rows, ncols):
+def assert_coords_match_oracle(F, rows, ncols):
+    """_rref of the rows' coordinates is the dense oracle's RREF."""
     red, piv = gls._rref(F, coords_of(F, rows, ncols))
     want = gauss_jordan(F, rows) if rows else ([], [])
     assert (red.tolist(), piv) == want
     assert red.shape == (len(piv), ncols)
-    if rows:
-        dense = gls._matrix(F, (len(rows), ncols), (x for row in rows for x in row))
-        red_d, piv_d = gls._rref(F, dense)
-        assert (red_d.tolist(), piv_d) == (red.tolist(), piv)
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)
@@ -316,7 +313,7 @@ def assert_coords_match_dense(F, rows, ncols):
 @given(data=st.data())
 def test_coordinate_input_matches_dense(F, data):
     rows = data.draw(mostly_unit_rows(F))
-    assert_coords_match_dense(F, rows, len(rows[0]))
+    assert_coords_match_oracle(F, rows, len(rows[0]))
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)
@@ -325,12 +322,21 @@ def test_coordinate_input_edge_cases(F):
     # all-unit rows, an all-zero matrix, chained singletons that leave no
     # column to the kernel, a residual block after two rounds, and no rows
     for rows, _ in unit_row_cases(F):
-        assert_coords_match_dense(F, rows, len(rows[0]))
-    assert_coords_match_dense(F, [], 3)
-    assert_coords_match_dense(F, [[z, z, z]], 3)
-    if F.char and F.m == 1:  # ints outside [0, p) are read modulo p either way
+        assert_coords_match_oracle(F, rows, len(rows[0]))
+    assert_coords_match_oracle(F, [], 3)
+    assert_coords_match_oracle(F, [[z, z, z]], 3)
+    if F.char and F.m == 1:  # ints outside [0, p), nonzero mod p, are read modulo p
         p = F.p
-        assert_coords_match_dense(F, [[p + 1, z, 2 * p - 1], [z, p + 2, 1], [p + 1, 1, 1]], 3)
+        assert_coords_match_oracle(F, [[p + 1, z, 2 * p - 1], [z, p + 2, 1], [p + 1, 1, 1]], 3)
+
+
+def test_rref_reads_raw_scalars_modulo_p():
+    """rref() takes scalars from its caller: an entry 3 over GF(3), alone in
+    its row, is zero there, not a unit pivot."""
+    F = PrimeField(3)
+    for raw, zero in (([[3, 0], [1, 1]], [[0, 0], [1, 1]]),
+                      ([[0, 0, 3], [1, 2, 0], [4, 5, 6]], [[0, 0, 0], [1, 2, 0], [1, 2, 0]])):
+        assert gls.rref(F, raw) == gls.rref(F, zero) == gauss_jordan(F, zero)
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)
@@ -385,11 +391,11 @@ def test_qq_zeros_of_either_type(case):
     got = gls.rref(QQ, rows)
     assert got == want and all(type(x) is Fraction for row in got[0] for x in row)
     ctx = TruncationContext(QQ, 1, len(rows[0]) - 1, frozenset())
-    S = GradedSubspace.from_vectors(ctx, [np.array(r, dtype=object) for r in rows])
+    S = GradedSubspace.from_vectors(ctx, gls.Coords.of_rows(np.array(rows, dtype=object)))
     assert engine_basis(S) == want
     residues = [S.reduce_vec(np.array(v, dtype=object)).tolist() for v in probes]
     assert residues == [residue(QQ, want, v) for v in probes]
-    T = GradedSubspace.from_vectors(ctx, [np.array(v, dtype=object) for v in probes])
+    T = GradedSubspace.from_vectors(ctx, gls.Coords.of_rows(np.array(probes, dtype=object)))
     assert S.contains_subspace(T) == all(not any(r) for r in residues)
 
 
@@ -453,8 +459,8 @@ def test_qq_engine_never_uses_field_arithmetic(monkeypatch):
 
     monkeypatch.setattr(RationalField, "add", forbidden)
     monkeypatch.setattr(RationalField, "mul", forbidden)
-    A = GradedSubspace.from_vectors(ctx, vecs[:2])
-    B = GradedSubspace.from_vectors(ctx, vecs[1:])
+    A = GradedSubspace.from_polys(ctx, gens[:2])
+    B = GradedSubspace.from_polys(ctx, gens[1:])
     assert A.sum_with(B).dim == 3
     assert A.intersect(B).dim == 1
     assert A.coordinate_section(range(len(mons) // 2)).dim <= A.dim

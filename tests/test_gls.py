@@ -1,9 +1,11 @@
+import random
 from itertools import product
 from math import comb
 
 import numpy as np
 import pytest
 
+from idfilt import gls, verify
 from idfilt._kernels import rref_mod_p
 from idfilt.gls import (GradedSubspace, ideal_image, monomial_basis, poly_to_vec,
                         power_m, vec_to_poly)
@@ -175,3 +177,26 @@ def test_monomial_basis_matches_filtered_product():
             assert degree_of == tuple(sum(m) for m in want)
     for d, D in ((6, 10), (5, 13)):
         assert len(monomial_basis(d, D)[0]) == comb(D + d, d)
+
+
+def test_every_stack_reaches_rref_as_coordinates(monkeypatch):
+    """_rref eliminates a Coords and nothing else, on an analyze where every
+    stage runs and on the verify suites that sum, meet and check."""
+    stacks = []
+    rref = gls._rref
+
+    def checked(field, stack):
+        assert isinstance(stack, gls.Coords), type(stack)
+        stacks.append(stack)
+        return rref(field, stack)
+
+    monkeypatch.setattr(gls, "_rref", checked)
+    from idfilt.pipeline import analyze
+    from idfilt.specfile import parse_spec
+    rep = analyze(parse_spec("field: GF(3)\nvars: x, y, z\ntruncation: 10\n"
+                             "gen: x + z^4 @ 1\ngen: y^3 @ 3\n"))
+    assert rep["nonsingularity"]["applicable"] and "coefficient_level_1" in rep["checks"]
+    for suite in (verify.suite_gls_laws, verify.suite_leading_pure,
+                  verify.suite_coefficient_decomposition):
+        assert suite(random.Random(f"0:{verify.ALL_SUITES.index(suite)}")).passed
+    assert stacks

@@ -30,7 +30,8 @@ PRUNING = settings(max_examples=60, derandomize=True, database=None, deadline=No
 
 def unpruned(gens, ctx):
     blocks = [multiples(g, ctx) for g in gens]
-    return GradedSubspace.from_vectors(ctx, gls.Coords.stack(blocks) if blocks else [])
+    return (GradedSubspace.from_vectors(ctx, gls.Coords.stack(blocks)) if blocks
+            else GradedSubspace.zero(ctx))
 
 
 def nonzero_scalars(F):

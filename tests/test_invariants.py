@@ -1,15 +1,18 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
+from idfilt import invariants, pipeline
 from idfilt.fields import ExtensionField, PrimeField
 from idfilt.filtration import FiltrationSpec
-from idfilt.gls import GradedSubspace, ideal_image, monomial_basis, poly_to_vec
+from idfilt.gls import Coords, GradedSubspace, ideal_image, monomial_basis, poly_to_vec
 from idfilt.invariants import (HSystem, _b_range, _h_power, _inverse_last_row, build_Du,
-                               coefficient_decompose_check, du_matrix,
+                               build_Fv, coefficient_decompose_check, du_matrix,
                                coefficient_default_mu, mu_tilde,
                                nonsingularity_check, ord_H,
                                supporting1_check, supporting2_check,
@@ -151,6 +154,23 @@ def test_build_du_examples(F2, QQ):
     H = HSystem(ctx, [(mk(F2, "x^2 + y^3"), 1)])
     D1 = build_Du(H, 1)
     assert [J for _, J in D1.summands] == [(2, 0)]
+
+
+def test_du_row_computed_once_per_system(QQ, monkeypatch):
+    calls = []
+
+    def counted(H, M):
+        calls.append(H)
+        return _inverse_last_row(H, M)
+
+    monkeypatch.setattr(invariants, "_inverse_last_row", counted)
+    H = HSystem(ctx_of(QQ, 2, 10), [(mk(QQ, "x + y^2"), 0), (mk(QQ, "y + x^3"), 0)])
+    ops = [build_Du(H, u) for u in (1, 2, 3, 1)] + [build_Fv(H, 3)]
+    assert calls == [H]
+    monkeypatch.undo()
+    fresh = HSystem(H.ctx, H.entries)
+    again = [build_Du(fresh, u) for u in (1, 2, 3, 1)] + [build_Fv(fresh, 3)]
+    assert [op.summands for op in ops] == [op.summands for op in again]
 
 
 def test_build_du_range_errors(F2):
@@ -554,7 +574,9 @@ def reference_decompose_check(F: FiltrationSpec, H: HSystem, a, mu) -> bool:
         it = F.ideal_at_level(t).meet_power_m(math.ceil(mu * t))
         prods = (f.mul_trunc(hb, ctx.D) for f in it.basis_polys())
         rows += [poly_to_vec(g, ctx) for g in prods if not g.is_zero()]
-    return GradedSubspace.from_vectors(ctx, rows).equals(lhs)
+    N = len(monomial_basis(ctx.nvars, ctx.D)[0])
+    stack = Coords.of_rows(np.array(rows, dtype=np.int64).reshape(len(rows), N))
+    return GradedSubspace.from_vectors(ctx, stack).equals(lhs)
 
 
 def test_coefficient_decompose_matches_reference():
@@ -580,3 +602,25 @@ def test_coefficient_decompose_matches_reference():
                     assert got == reference_decompose_check(spec, H, a, mu)
                     verdicts.append(got)
     assert True in verdicts and False in verdicts
+
+
+def test_coefficient_decompose_check_builds_no_dense_stack(monkeypatch):
+    """The check stacks coordinates, so its peak allocation at GF(3), d=4,
+    D=12 stays well below that of N-wide dense rows (about 59 MB for this
+    spec), whatever the host: tracemalloc counts numpy's buffers too."""
+    peaks = []
+    check = pipeline.coefficient_decompose_check
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return check(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(pipeline, "coefficient_decompose_check", traced)
+    rep = analyze(parse_spec("field: GF(3)\nvars: x, y, z, w\ntruncation: 12\n"
+                             "gen: x^3 + y^4 + z^5 @ 3\ngen: x*y*z @ 2\n"))
+    assert rep["checks"]["coefficient_level_1"]["ok"]
+    assert len(peaks) == 1 and peaks[0] < 40 * 2 ** 20, peaks
