@@ -1,13 +1,14 @@
 """Row reduction kernels over finite fields.
 
-Over a finite field, every membership test ends in reduce_mod_p, and every
-elimination that gls._rref cannot finish by its singleton presolve ends in
-rref_mod_p on an int64 matrix; so does each prime of the multimodular
-elimination over QQ.  The presolve works on (row, column, value)
-coordinates and makes dense only the residual block left once the unit rows
-are taken out, so the tall stacks of multiples X^A g, which are never
-dense, reach rref_mod_p as small blocks.  The kernels are vectorized numpy:
-each pivot step clears its column with one outer-product update.  One pivot
+Over a finite field, every membership test ends in reduce_mod_p, on the
+basis rows whose pivots the vector meets, and every elimination that
+gls._rref cannot finish by its singleton presolve ends in rref_mod_p on an
+int64 matrix; so does each prime of the multimodular elimination over QQ.
+Bases and stacks are (row, column, value) coordinates: the presolve makes
+dense only the residual block left once the unit rows are taken out, so the
+tall stacks of multiples X^A g reach rref_mod_p as small blocks, and the
+kernel's result is read back as coordinates.  The kernels are vectorized
+numpy: each pivot step clears its column with one outer-product update.  One pivot
 loop serves every finite field; only the pivot scaling and the row update
 differ, and the field decides which runs:
 
@@ -57,9 +58,7 @@ def rref_mod_p(mat: np.ndarray, p: int, tables=None):
     tables holds that field's lookup arrays.
 
     Consumes mat (int64, entries reduced mod p, or codes).  Returns
-    (rows, pivots) with unit pivot columns, zero rows dropped.  The rows own
-    their memory when rows were dropped, so a kept basis does not pin the
-    whole buffer.
+    (rows, pivots) with unit pivot columns, zero rows dropped.
     """
     a = np.ascontiguousarray(mat, dtype=np.int64)
     rows, cols = a.shape
@@ -85,7 +84,7 @@ def rref_mod_p(mat: np.ndarray, p: int, tables=None):
         r += 1
         if r == rows:
             break
-    return (a if r == rows else a[:r].copy()), np.asarray(pivots, dtype=np.int64)
+    return a[:r], np.asarray(pivots, dtype=np.int64)
 
 
 def reduce_mod_p(rows: np.ndarray, pivots: np.ndarray, v: np.ndarray, p: int, tables=None):

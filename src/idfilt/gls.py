@@ -27,16 +27,16 @@ the canonical basis, is the same; on saturated level ideals most minimal
 generator products are such multiples (GF(3), d=3, D=12, level 3: 137
 minimal products and 9,024 rows become 16 and 1,704).
 
-Every basis, over every field, is one 2-D numpy array: int64 over a finite
-field (residues in [0, p) over GF(p), the field's int codes in [0, q) over
-GF(p^m)) and an object array over QQ, whose nonzero cells are Fractions and
-whose zero cells are numpy's own int 0, so that a truth test of a zero cell
-runs in C (a zero may also be Fraction(0); no code reads which type a zero
-has).  Row selection, scattering and comparison are therefore one code
-path, and a zero test is `not v.any()` in both formats; only the private
-helpers _matrix, _rref and _reduce know the format and pick the kernel:
-the numpy kernel (rref_mod_p / reduce_mod_p, with the field's lookup tables
-over GF(p^m)) for every finite field, rref_generic / reduce_generic for QQ.
+Every basis, like every stack, is a Coords: its nonzero entries, sorted by
+row, then column, as int64 values over a finite field (residues in [0, p)
+over GF(p), codes in [0, q) over GF(p^m)) and Fractions over QQ.  A slice by
+pivot degree is a row range, and equal spaces have equal arrays.  Dense
+arrays are only the kernel's residual block and the vector of a membership
+test (_matrix; over QQ its zero cells are the int 0, so `not v.any()` runs
+in C); a canonical row is zero on every other pivot, so reduce_vec makes
+dense only the rows of the pivots v meets.  _rref and reduce_vec pick the
+kernel: rref_mod_p / reduce_mod_p (with the field's lookup tables over
+GF(p^m)) for every finite field, rref_generic / reduce_generic for QQ.
 Over QQ, rref_generic eliminates modulo word-size primes in that same
 numpy kernel and certifies the rational result exactly (see _linalg);
 reduce_generic, exact object-array updates on the nonzero columns of each
@@ -49,7 +49,7 @@ truncated ring.
 
 Every stack reaches _rref as coordinates, none built dense: multiples,
 polynomials (Coords.of_polys), and the bases a sum, a meet or a check
-stacks (Coords.of_rows).  _rref first takes out the unit rows: the
+stacks.  _rref first takes out the unit rows: the
 multiples X^A g are mostly rows with one nonzero, whose columns U are then
 pivot columns of the RREF with unit rows e_c.  Clearing U from the other
 rows can leave new singletons, so this repeats; it is the singleton step of
@@ -58,14 +58,14 @@ sparse linear systems over finite fields", CRYPTO 1990), structural pivots
 found before any arithmetic.  Only the rows left nonzero, on the columns
 outside U, are made dense for the kernel.  Those RREF rows vanish on U and
 the rows e_c vanish on their pivots, so the two sets together, sorted by
-pivot, are the canonical RREF of the whole matrix.  At GF(3), d=4, D=14 the
-largest level-ideal stack, 10,165 x 3,060 with 11,881 nonzeros, leaves the
-kernel 20 x 493.
+pivot, are the canonical RREF of the whole matrix.  At GF(3), d=4, D=14
+the largest level-ideal stack, 10,165 x 3,060 with 11,881 nonzeros, leaves
+the kernel 20 x 493.
 
-Dense rows over at most N = C(D+d, d) columns; the supported envelope is
-d <= 6, D <= 16, and the spec parser refuses a ring whose level-0 ideal,
-an N x N matrix at 8 bytes a cell, would exceed 1 GiB.  Finished subspaces
-are immutable and shareable.
+Vectors have N = C(D+d, d) coordinates; the supported envelope is d <= 6,
+D <= 16.  The spec parser still refuses a ring whose level-0 ideal, as an
+N x N matrix at 8 bytes a cell, would exceed 1 GiB, though that ideal is
+now N unit rows.  Finished subspaces are immutable and shareable.
 """
 
 from __future__ import annotations
@@ -104,15 +104,10 @@ def _shift_map(nvars: int, D: int, e):
     return out
 
 
-# The helpers below are the only code that knows how a field's
-# matrices are stored and which kernel eliminates them.  Everything else
-# indexes, stacks and compares the 2-D arrays they return.
-
-
 def _matrix(field, shape):
-    """A zero matrix in the field's array format: int64 entries (residues in
-    [0, p) for GF(p), codes in [0, q) for GF(p^m)) over a finite field, an
-    object array over QQ whose zero cells are the int 0."""
+    """A zero dense matrix in the field's array format: int64 entries
+    (residues in [0, p) for GF(p), codes in [0, q) for GF(p^m)) over a
+    finite field, an object array over QQ whose zero cells are the int 0."""
     # int64 zeros come from calloc, so unwritten zero pages stay free; an
     # object array is written through, one reference to the int 0 a cell
     return np.zeros(shape, dtype=np.int64 if field.char else object)
@@ -121,7 +116,8 @@ def _matrix(field, shape):
 class Coords:
     """A matrix as its nonzero entries: row indices, column indices, values
     in the field's format (no (row, col) pair twice) and its shape.  len()
-    is its row count, as for a stack of vectors."""
+    is its row count, as for a stack of vectors.  A basis lists its entries
+    by row, then column; a stack, in any order."""
 
     __slots__ = ("rows", "cols", "vals", "shape")
 
@@ -157,22 +153,46 @@ class Coords:
                       np.array(vals, dtype=np.int64 if ctx.field.char else object),
                       (len(polys), len(mons)))
 
+    def dense(self, field):
+        """The matrix in the field's dense format."""
+        out = _matrix(field, self.shape)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def polys(self, ctx):
+        """One polynomial per row, its terms in entry order: graded-lex
+        order when the entries are sorted by row, then column."""
+        mons = monomial_basis(ctx.nvars, ctx.D)[0]
+        terms = [{} for _ in range(len(self))]
+        for r, c, x in zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()):
+            terms[r][mons[c]] = x
+        return [Poly(ctx.field, ctx.nvars, t) for t in terms]
+
+    def row_range(self, i, j):
+        """Rows i to j - 1 of a matrix whose entries are sorted by row."""
+        a, b = self.rows.searchsorted((i, j))
+        return Coords(self.rows[a:b] - i, self.cols[a:b], self.vals[a:b],
+                      (j - i, self.shape[1]))
+
 
 def _rref(field, stack):
-    """(canonical RREF rows as a matrix, pivot columns as ints) of the rows
-    of a Coords.
+    """(canonical RREF basis, pivot columns as ints) of the rows of a Coords.
 
-    The singleton presolve takes the unit rows out; the field's kernel
-    eliminates only the rows it leaves nonzero, on the columns it has not
-    taken, made dense, and the unit rows e_c of the taken columns c join its
-    RREF rows at their sorted pivot positions."""
+    A stack with no entries spans zero.  Otherwise the singleton presolve
+    takes the unit rows out; the field's kernel eliminates only the rows it
+    leaves nonzero, on the columns it has not taken, made dense, and the
+    unit rows e_c of the taken columns c join its RREF rows at their sorted
+    pivot positions.  A kernel row's nonzeros come in column order, so a
+    stable sort by row orders the basis entries."""
+    if not stack.vals.size:
+        return Coords(stack.rows, stack.cols, stack.vals, (0, stack.shape[1])), []
     taken, cnt, left = _singletons(stack.rows, stack.cols, stack.shape)
     units, free, live = taken.nonzero()[0], (~taken).nonzero()[0], cnt.nonzero()[0]
     r, c, vals = stack.rows[left], stack.cols[left], stack.vals[left]
     if field.char and field.tables is None:
         vals %= field.p  # Poly coefficients may lie outside [0, p)
-    block = _matrix(field, (live.size, free.size))
-    block[live.searchsorted(r), free.searchsorted(c)] = vals
+    block = Coords(live.searchsorted(r), free.searchsorted(c), vals,
+                   (live.size, free.size)).dense(field)
     if not live.size:
         red, piv = block, []
     elif field.char:
@@ -181,10 +201,13 @@ def _rref(field, stack):
         red, piv = rref_generic(list(block))
     piv = free[piv]
     pivots = np.sort(np.concatenate([units, piv]))
-    out = _matrix(field, (len(pivots), stack.shape[1]))
-    out[pivots.searchsorted(units), units] = field.one()
-    out[pivots.searchsorted(piv)[:, None], free] = red
-    return out, pivots.tolist()
+    kr, kc = red.nonzero()
+    rows = np.concatenate([pivots.searchsorted(units), pivots.searchsorted(piv)[kr]])
+    order = rows.argsort(kind="stable")
+    cols = np.concatenate([units, free[kc]])
+    vals = np.concatenate([np.full(units.size, field.one(), dtype=block.dtype), red[kr, kc]])
+    return (Coords(rows[order], cols[order], vals[order], (pivots.size, stack.shape[1])),
+            pivots.tolist())
 
 
 def _singletons(r, c, shape):
@@ -207,14 +230,6 @@ def _singletons(r, c, shape):
         r, c, left = r[stay], c[stay], left[stay]
 
 
-def _reduce(field, rows, pivots, v):
-    """Residue of the vector v modulo the row space of an RREF basis."""
-    if field.char:
-        return reduce_mod_p(rows, np.asarray(pivots, dtype=np.int64), v, field.p,
-                            field.tables)
-    return reduce_generic(rows, pivots, v)
-
-
 def rref(field, rows):
     """Reduced row echelon form of a list of rows of field scalars.
 
@@ -228,7 +243,7 @@ def rref(field, rows):
         mat %= field.p  # else an entry p alone in its row would be a unit pivot
     red, piv = _rref(field, Coords.of_rows(mat))
     zero = field.zero()
-    return [[x if x else zero for x in row] for row in red.tolist()], piv
+    return [[x if x else zero for x in row] for row in red.dense(field).tolist()], piv
 
 
 def greedy_independent(field, vecs):
@@ -238,28 +253,15 @@ def greedy_independent(field, vecs):
     return rref(field, list(zip(*vecs)))[1]
 
 
-def poly_to_vec(f: Poly, ctx: TruncationContext):
-    mons, index, _ = monomial_basis(ctx.nvars, ctx.D)
-    v = _matrix(ctx.field, len(mons))
-    for e, c in f.terms.items():
-        v[index[e]] = c
-    return v
-
-
-def vec_to_poly(v, ctx: TruncationContext) -> Poly:
-    mons, _, _ = monomial_basis(ctx.nvars, ctx.D)
-    nz = np.flatnonzero(v)
-    return Poly(ctx.field, ctx.nvars, {mons[i]: c for i, c in zip(nz.tolist(), v[nz].tolist())})
-
-
 class GradedSubspace:
-    """Canonical echelon basis of a subspace of the truncated ring."""
+    """Canonical echelon basis of a subspace of the truncated ring: a Coords
+    with entries sorted by row, then column, and its pivot columns."""
 
-    __slots__ = ("ctx", "rows", "pivots")
+    __slots__ = ("ctx", "basis", "pivots")
 
-    def __init__(self, ctx: TruncationContext, rows, pivots):
+    def __init__(self, ctx: TruncationContext, basis: Coords, pivots):
         self.ctx = ctx
-        self.rows = rows
+        self.basis = basis
         self.pivots = tuple(pivots)
 
     # construction -------------------------------------------------------
@@ -275,7 +277,7 @@ class GradedSubspace:
 
     @staticmethod
     def zero(ctx) -> "GradedSubspace":
-        return GradedSubspace.from_polys(ctx, [])
+        return _units(ctx, np.arange(0))
 
     # queries --------------------------------------------------------------
 
@@ -288,27 +290,43 @@ class GradedSubspace:
             raise ValueError("context mismatch between subspaces")
 
     def reduce_vec(self, v):
-        return _reduce(self.ctx.field, self.rows, self.pivots, v)
+        """Residue of the dense vector v: v minus v[c] times the row of each
+        pivot c that v meets, the only rows made dense for the kernel."""
+        F, B = self.ctx.field, self.basis
+        pivots = np.array(self.pivots, dtype=np.int64)
+        hit = v[pivots].nonzero()[0]
+        met = np.zeros(self.dim, dtype=bool)
+        met[hit] = True
+        sel = met[B.rows]
+        rows = Coords(hit.searchsorted(B.rows[sel]), B.cols[sel], B.vals[sel],
+                      (hit.size, B.shape[1])).dense(F)
+        if F.char:
+            return reduce_mod_p(rows, pivots[hit], v, F.p, F.tables)
+        return reduce_generic(rows, pivots[hit], v)
 
-    def contains_poly(self, f: Poly) -> bool:
+    def _residue(self, f: Poly):
         if f.degree() > self.ctx.D:
             raise ValueError("polynomial exceeds truncation degree")
-        return not self.reduce_vec(poly_to_vec(f, self.ctx)).any()
+        return self.reduce_vec(Coords.of_polys([f], self.ctx).dense(self.ctx.field)[0])
+
+    def contains_poly(self, f: Poly) -> bool:
+        return not self._residue(f).any()
 
     def reduce_poly(self, f: Poly) -> Poly:
         """Canonical residue of f modulo this subspace."""
-        if f.degree() > self.ctx.D:
-            raise ValueError("polynomial exceeds truncation degree")
-        return vec_to_poly(self.reduce_vec(poly_to_vec(f, self.ctx)), self.ctx)
+        return Coords.of_rows(self._residue(f)[None]).polys(self.ctx)[0]
 
     def contains_subspace(self, other: "GradedSubspace") -> bool:
         """One rank test: other lies in self iff their sum is no bigger."""
         return self.sum_with(other).dim == self.dim
 
     def equals(self, other: "GradedSubspace") -> bool:
-        """Same canonical basis: the same pivots, then the same rows."""
+        """Same canonical basis: the same pivots, then the same entries."""
         self._check_ctx(other)
-        return self.pivots == other.pivots and bool(np.array_equal(self.rows, other.rows))
+        a, b = self.basis, other.basis
+        return self.pivots == other.pivots and all(
+            np.array_equal(x, y)
+            for x, y in ((a.rows, b.rows), (a.cols, b.cols), (a.vals, b.vals)))
 
     def pivot_degrees(self):
         _, _, degree_of = monomial_basis(self.ctx.nvars, self.ctx.D)
@@ -319,7 +337,7 @@ class GradedSubspace:
         since pivots ascend), already in canonical form."""
         _, _, degree_of = monomial_basis(self.ctx.nvars, self.ctx.D)
         k = bisect_left(self.pivots, n, key=degree_of.__getitem__)
-        return GradedSubspace(self.ctx, self.rows[k:], self.pivots[k:])
+        return GradedSubspace(self.ctx, self.basis.row_range(k, self.dim), self.pivots[k:])
 
     def graded_slice(self, n: int) -> "GradedSubspace":
         """Image of S `intersect` m^n in G_n: the rows of pivot degree n cut
@@ -328,9 +346,10 @@ class GradedSubspace:
         _, _, degree_of = monomial_basis(self.ctx.nvars, self.ctx.D)
         lo, hi = bisect_left(degree_of, n), bisect_right(degree_of, n)
         i, j = bisect_left(self.pivots, lo), bisect_left(self.pivots, hi)
-        rows = _matrix(self.ctx.field, (j - i, len(degree_of)))
-        rows[:, lo:hi] = self.rows[i:j, lo:hi]
-        return GradedSubspace(self.ctx, rows, self.pivots[i:j])
+        part = self.basis.row_range(i, j)
+        cut = part.cols < hi
+        return GradedSubspace(self.ctx, Coords(part.rows[cut], part.cols[cut], part.vals[cut],
+                                               part.shape), self.pivots[i:j])
 
     def slice_dims(self):
         dims = [0] * (self.ctx.D + 1)
@@ -339,11 +358,7 @@ class GradedSubspace:
         return dims
 
     def basis_polys(self):
-        return [vec_to_poly(row, self.ctx) for row in self.rows]
-
-    def basis_coords(self) -> Coords:
-        """The canonical basis rows as a stack."""
-        return Coords.of_rows(self.rows)
+        return self.basis.polys(self.ctx)
 
     # subspace arithmetic ---------------------------------------------------
 
@@ -353,7 +368,7 @@ class GradedSubspace:
             return other
         if other.dim == 0:
             return self
-        stack = Coords.stack([self.basis_coords(), other.basis_coords()])
+        stack = Coords.stack([self.basis, other.basis])
         return GradedSubspace(self.ctx, *_rref(self.ctx.field, stack))
 
     def intersect(self, other: "GradedSubspace") -> "GradedSubspace":
@@ -364,22 +379,21 @@ class GradedSubspace:
         ctx = self.ctx
         if self.dim == 0 or other.dim == 0:
             return GradedSubspace.zero(ctx)
-        A, B = self.basis_coords(), other.basis_coords()
+        A, B = self.basis, other.basis
         a, N = self.dim, A.shape[1]
         block = Coords(np.concatenate([A.rows, A.rows, B.rows + a]),
                        np.concatenate([A.cols, A.cols + N, B.cols]),
                        np.concatenate([A.vals, A.vals, B.vals]), (a + other.dim, 2 * N))
         red, piv = _rref(ctx.field, block)
-        k = bisect_left(piv, N)  # a copy, so the 2N-wide rows can be freed
-        return GradedSubspace(ctx, red[k:, N:].copy(), [c - N for c in piv[k:]])
+        k = bisect_left(piv, N)
+        meet = red.row_range(k, len(piv))
+        return GradedSubspace(ctx, Coords(meet.rows, meet.cols - N, meet.vals, (len(meet), N)),
+                              [c - N for c in piv[k:]])
 
     def coordinate_section(self, keep_columns) -> "GradedSubspace":
         """Subspace of vectors supported only on the given columns: the meet
         with the span of their unit vectors."""
-        keep = sorted(set(keep_columns))
-        units = _matrix(self.ctx.field, (len(keep), self.rows.shape[1]))
-        units[np.arange(len(keep)), keep] = self.ctx.field.one()
-        return self.intersect(GradedSubspace(self.ctx, units, keep))
+        return self.intersect(_units(self.ctx, np.unique(np.fromiter(keep_columns, np.intp))))
 
     def dump(self) -> str:
         """One line per basis vector, graded-lex sorted."""
@@ -452,11 +466,16 @@ def ideal_image(gens, ctx: TruncationContext) -> GradedSubspace:
     return GradedSubspace.from_vectors(ctx, Coords.stack(blocks))
 
 
+def _units(ctx: TruncationContext, cols) -> GradedSubspace:
+    """The span of the unit vectors e_c for an ascending array of columns c,
+    already canonical: row k is e_(cols[k])."""
+    N = len(monomial_basis(ctx.nvars, ctx.D)[0])
+    vals = np.full(cols.size, ctx.field.one(), dtype=np.int64 if ctx.field.char else object)
+    return GradedSubspace(ctx, Coords(np.arange(cols.size), cols, vals, (cols.size, N)),
+                          cols.tolist())
+
+
 def power_m(n: int, ctx: TruncationContext) -> GradedSubspace:
     """Image of m^n: full ring when n <= 0, zero space beyond D."""
     _, _, degree_of = monomial_basis(ctx.nvars, ctx.D)
-    start, N = bisect_left(degree_of, n), len(degree_of)
-    k = np.arange(N - start)
-    rows = _matrix(ctx.field, (N - start, N))
-    rows[k, start + k] = ctx.field.one()
-    return GradedSubspace(ctx, rows, range(start, N))
+    return _units(ctx, np.arange(bisect_left(degree_of, n), len(degree_of)))

@@ -371,7 +371,7 @@ def coefficient_decompose_check(F: FiltrationSpec, H: HSystem, a, mu) -> bool:
     lhs = F.ideal_at_level(a)
     if a <= 0:
         return lhs.dim == len(monomial_basis(ctx.nvars, ctx.D)[0])
-    blocks = [H.filtration().ideal_at_level(a).basis_coords()]
+    blocks = [H.filtration().ideal_at_level(a).basis]
     for B in _b_range(H, a):
         hb = _h_power(H, B, ctx.D)
         if hb.is_zero():
@@ -379,7 +379,7 @@ def coefficient_decompose_check(F: FiltrationSpec, H: HSystem, a, mu) -> bool:
         t = a - sum(b * H.level(l) for l, b in enumerate(B))
         it = F.ideal_at_level(t).meet_power_m(math.ceil(mu * t))
         if not any(B):  # H^B = 1: the basis of I'_a as it is
-            blocks.append(it.basis_coords())
+            blocks.append(it.basis)
             continue
         prods = [f.mul_trunc(hb, ctx.D) for f in it.basis_polys()]
         blocks.append(Coords.of_polys(prods, ctx))

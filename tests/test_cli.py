@@ -170,6 +170,12 @@ PINNED_REPORTS = {
     "gf3_d4_D14": ("field: GF(3)\nvars: x, y, z, w\ntruncation: 14\n"
                    "gen: x^3 + y^4 + z^5 @ 3\ngen: x*y*z @ 2\n",
                    "c719b920567a5331fa1211083f209046ba00b01c5796ba2c26de83780e716c80"),
+    # the envelope's edge, d=6: bases of up to 6,997 rows over N = 8,008
+    # columns, nearly all unit rows, recorded when bases were dense N-wide
+    # arrays (about 1.7 GB), so it cross-checks the coordinate storage
+    "gf2_d6_D10": ("field: GF(2)\nvars: x, y, z, w, u, v\ntruncation: 10\n"
+                   "gen: x^3 + y^4 + z^5 @ 3\ngen: x*y*z @ 2\n",
+                   "7e14d0933ff01f3707639d9c96b725d476c12883206c15bdd02ef6a4e4c9e7a7"),
 }
 
 

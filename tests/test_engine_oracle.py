@@ -77,20 +77,23 @@ def as_vec(f, ctx):
     return [f.terms.get(m, ctx.field.zero()) for m in monomial_basis(ctx.nvars, ctx.D)[0]]
 
 
-def dense(F, coords):
-    out = gls._matrix(F, coords.shape)
-    out[coords.rows, coords.cols] = coords.vals
-    return out
+def assert_stored(basis, F):
+    """A basis lists its nonzero entries once each, sorted by row, then
+    column: the order equals and basis_polys read."""
+    rows, cols = basis.rows.tolist(), basis.cols.tolist()
+    assert list(zip(rows, cols)) == sorted(set(zip(rows, cols)))
+    assert not any(F.is_zero(x) for x in basis.vals.tolist())
 
 
 def engine_basis(S):
-    return S.rows.tolist(), list(S.pivots)
+    assert_stored(S.basis, S.ctx.field)
+    return S.basis.dense(S.ctx.field).tolist(), list(S.pivots)
 
 
 def assert_canonical(S):
     """S is already the canonical basis of its span: eliminating its own
     rows again gives the same rows and pivots."""
-    assert engine_basis(GradedSubspace.from_vectors(S.ctx, S.basis_coords())) == engine_basis(S)
+    assert engine_basis(GradedSubspace.from_vectors(S.ctx, S.basis)) == engine_basis(S)
 
 
 # inputs ----------------------------------------------------------------------
@@ -209,7 +212,7 @@ def test_multiples(case):
                     if low <= sum(A) <= D - g.order()]
             got = gls.multiples(g, ctx, low)
             assert got.shape == (len(want), len(mons)) and len(got) == len(want)
-            assert dense(F, got).tolist() == want
+            assert got.dense(F).tolist() == want
 
 
 @ORACLE
@@ -235,7 +238,7 @@ def test_coordinate_section_edges(F):
     S = GradedSubspace.from_polys(ctx, [x + y.pow(2), x * y + y.pow(3)])
     N = len(monomial_basis(2, 3)[0])
     assert engine_basis(S.coordinate_section(range(N))) == engine_basis(S)
-    support = set(np.flatnonzero(S.rows.any(axis=0)).tolist())
+    support = set(S.basis.cols.tolist())
     for keep in (set(range(N)) - support, ()):
         assert S.coordinate_section(keep).dim == 0
 
@@ -304,7 +307,8 @@ def assert_coords_match_oracle(F, rows, ncols):
     """_rref of the rows' coordinates is the dense oracle's RREF."""
     red, piv = gls._rref(F, coords_of(F, rows, ncols))
     want = gauss_jordan(F, rows) if rows else ([], [])
-    assert (red.tolist(), piv) == want
+    assert_stored(red, F)
+    assert (red.dense(F).tolist(), piv) == want
     assert red.shape == (len(piv), ncols)
 
 
@@ -450,8 +454,8 @@ def test_qq_engine_never_uses_field_arithmetic(monkeypatch):
     gens = [Poly(QQ, 2, {mons[1]: Fraction(1, 2), mons[4]: Fraction(3)}),
             Poly(QQ, 2, {mons[2]: Fraction(-2), mons[5]: Fraction(7, 3)}),
             Poly(QQ, 2, {mons[3]: Fraction(1)})]
-    vecs = [gls.poly_to_vec(g, ctx) for g in gens]
-    rows = [v.tolist() for v in vecs]
+    vecs = gls.Coords.of_polys(gens, ctx).dense(QQ)
+    rows = vecs.tolist()
     probe = gens[0] + gens[2]
 
     def forbidden(*args):
@@ -494,7 +498,7 @@ def test_qq_presolve_tests_each_nonzero_cell_once(monkeypatch):
     S = gls.ideal_image(gens, ctx)
     monkeypatch.undo()
     assert before_kernel == [0]
-    stack = dense(QQ, gls.Coords.stack([gls.multiples(g, ctx) for g in gens]))
+    stack = gls.Coords.stack([gls.multiples(g, ctx) for g in gens]).dense(QQ)
     assert engine_basis(S) == gauss_jordan(QQ, stack.tolist())
 
 
@@ -504,5 +508,5 @@ def test_contains_subspace_matches_row_residues(case):
     ctx, ga, gb = case
     A, B = GradedSubspace.from_polys(ctx, ga), GradedSubspace.from_polys(ctx, gb)
     for big, small in ((A, B), (B, A), (A, A.intersect(B)), (A.sum_with(B), B)):
-        want = all(not big.reduce_vec(row).any() for row in small.rows)
+        want = all(not big.reduce_vec(row).any() for row in small.basis.dense(ctx.field))
         assert big.contains_subspace(small) == want

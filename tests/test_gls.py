@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 from math import comb
 
@@ -6,10 +7,8 @@ import numpy as np
 import pytest
 
 from idfilt import gls, verify
-from idfilt._kernels import rref_mod_p
-from idfilt.gls import (GradedSubspace, ideal_image, monomial_basis, poly_to_vec,
-                        power_m, vec_to_poly)
-from idfilt.poly import Poly, grlex_key, poly_str
+from idfilt.gls import Coords, GradedSubspace, ideal_image, monomial_basis, power_m
+from idfilt.poly import Poly, TruncationContext, grlex_key, poly_str
 from tests.conftest import ctx_of, mk
 
 
@@ -121,14 +120,6 @@ def test_context_mismatch_errors(F2, F3):
         A.sum_with(B)
 
 
-def test_rref_mod_p_rows_own_their_memory():
-    # a view of the elimination buffer would keep all of it alive in caches
-    mat = np.array([[1, 1, 0], [1, 1, 0], [0, 1, 1]], dtype=np.int64)
-    rows, piv = rref_mod_p(mat, 2)
-    assert rows.base is None
-    assert rows.tolist() == [[1, 0, 1], [0, 1, 1]] and piv.tolist() == [0, 1]
-
-
 def test_extension_fields_use_the_numpy_kernel(monkeypatch):
     # GF(p^m) scalars are int codes in one int64 matrix format; the generic
     # kernel serves QQ only, so analyze over GF(3^2) never reaches it
@@ -158,12 +149,17 @@ def test_equals_reads_the_non_pivot_columns(F3):
 
 @pytest.mark.parametrize("name", ["F2", "F9", "QQ"])
 def test_vec_to_poly_round_trip(name, request):
+    """A polynomial goes to its dense vector and back through a residue
+    modulo zero, and comes back with its terms in graded-lex order."""
     F = request.getfixturevalue(name)
     ctx = ctx_of(F, 2, 4)
     f = mk(F, "y^4 + 2*x*y + x^2 + 3") if F.char != 2 else mk(F, "y^4 + x*y + 1")
-    g = vec_to_poly(poly_to_vec(f, ctx), ctx)
+    zero = GradedSubspace.zero(ctx)
+    g = zero.reduce_poly(f)
     assert g == f and list(g.terms) == sorted(f.terms, key=grlex_key)
-    assert vec_to_poly(poly_to_vec(Poly.zero(F, 2), ctx), ctx).is_zero()
+    assert Coords.of_polys([f], ctx).dense(F)[0].tolist() == [
+        f.terms.get(m, 0) for m in monomial_basis(2, 4)[0]]
+    assert zero.reduce_poly(Poly.zero(F, 2)).is_zero()
 
 
 def test_monomial_basis_matches_filtered_product():
@@ -200,3 +196,46 @@ def test_every_stack_reaches_rref_as_coordinates(monkeypatch):
                   verify.suite_coefficient_decomposition):
         assert suite(random.Random(f"0:{verify.ALL_SUITES.index(suite)}")).passed
     assert stacks
+
+
+def test_empty_stacks_skip_the_presolve(monkeypatch, F3):
+    """A stack with no entries spans zero without a presolve round: the zero
+    space, no polynomials, no generators, and a generator that vanishes at
+    the truncation degree."""
+    def presolve(*args):
+        raise AssertionError("presolve called on an empty stack")
+
+    monkeypatch.setattr(gls, "_singletons", presolve)
+    ctx = ctx_of(F3, 2, 3)
+    for S in (GradedSubspace.zero(ctx), GradedSubspace.from_polys(ctx, []),
+              ideal_image([], ctx), ideal_image([mk(F3, "x^4")], ctx)):
+        assert S.dim == 0 and S.basis.shape == (0, 10) and not S.basis_polys()
+        assert S.equals(power_m(4, ctx))
+
+
+def peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_power_m_builds_no_identity(F3):
+    """m^0 at GF(3), d=4, D=12 is N = 1,820 unit rows, a few arrays of N
+    entries, not an N x N identity (26 MB): tracemalloc counts numpy's
+    buffers too."""
+    ctx = TruncationContext(F3, 4, 12, frozenset())
+    monomial_basis(4, 12)  # cached, and not the subject
+    assert peak_bytes(power_m, 0, ctx) < 2 * 2 ** 20
+
+
+def test_envelope_analyze_keeps_no_dense_basis():
+    """analyze of the gf3_d4_D14 pin holds its bases as coordinates; dense
+    bases peaked at about 250 MB."""
+    from idfilt.pipeline import analyze
+    from idfilt.specfile import parse_spec
+    from tests.test_cli import PINNED_REPORTS
+    spec = parse_spec(PINNED_REPORTS["gf3_d4_D14"][0])
+    assert peak_bytes(analyze, spec) < 64 * 2 ** 20

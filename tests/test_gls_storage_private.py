@@ -1,11 +1,12 @@
 """Only gls reads how a basis is stored.
 
-A GradedSubspace keeps its canonical basis as one dense array today; a
-sparser storage can replace it only if no other module reads that array or
-builds dense vectors of its own.  So this reads each library module's
-syntax tree, gls.py left out: no module may read an attribute named `rows`
-(the basis array, or a Coords' row indices), nor import or read the dense
-helpers poly_to_vec, vec_to_poly and _matrix.  Other modules go through
+A GradedSubspace keeps its canonical basis as a Coords whose entries are
+sorted by row, then column.  Other modules may hand that Coords on whole
+(`.basis`, to stack it), but the storage can change only if none of them
+reads its entries or makes a basis dense again.  So this reads each library
+module's syntax tree, gls.py left out: no module may read an attribute
+named `rows` (a Coords' row indices) or `dense` (a Coords made dense), nor
+import or read the dense helper _matrix.  Other modules go through
 GradedSubspace's methods and the Coords producers.
 """
 
@@ -16,13 +17,13 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "idfilt"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "gls.py")
-DENSE_HELPERS = {"poly_to_vec", "vec_to_poly", "_matrix"}
+DENSE_HELPERS = {"_matrix"}
 
 
 def storage_reads(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            if node.attr == "rows" or node.attr in DENSE_HELPERS:
+            if node.attr in ("rows", "dense") or node.attr in DENSE_HELPERS:
                 yield f"line {node.lineno}: .{node.attr}"
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:

@@ -10,7 +10,7 @@ import pytest
 from idfilt import invariants, pipeline
 from idfilt.fields import ExtensionField, PrimeField
 from idfilt.filtration import FiltrationSpec
-from idfilt.gls import Coords, GradedSubspace, ideal_image, monomial_basis, poly_to_vec
+from idfilt.gls import Coords, GradedSubspace, ideal_image, monomial_basis
 from idfilt.invariants import (HSystem, _b_range, _h_power, _inverse_last_row, build_Du,
                                build_Fv, coefficient_decompose_check, du_matrix,
                                coefficient_default_mu, mu_tilde,
@@ -555,7 +555,7 @@ def test_du_matrix_is_identity_plus_maximal_ideal(F):
 
 def reference_decompose_check(F: FiltrationSpec, H: HSystem, a, mu) -> bool:
     """coefficient_decompose_check as it was when every term, H^0 = 1
-    included, went through basis_polys, mul_trunc and poly_to_vec."""
+    included, went through basis_polys, mul_trunc and dense N-vectors."""
     ctx = F.ctx
     a = Fraction(a)
     mu = Fraction(mu)
@@ -565,7 +565,7 @@ def reference_decompose_check(F: FiltrationSpec, H: HSystem, a, mu) -> bool:
     lhs = F.ideal_at_level(a)
     if a <= 0:
         return lhs.dim == len(monomial_basis(ctx.nvars, ctx.D)[0])
-    rows = list(H.filtration().ideal_at_level(a).rows)
+    rows = list(H.filtration().ideal_at_level(a).basis.dense(ctx.field))
     for B in _b_range(H, a):
         hb = _h_power(H, B, ctx.D)
         if hb.is_zero():
@@ -573,7 +573,7 @@ def reference_decompose_check(F: FiltrationSpec, H: HSystem, a, mu) -> bool:
         t = a - sum(b * H.level(l) for l, b in enumerate(B))
         it = F.ideal_at_level(t).meet_power_m(math.ceil(mu * t))
         prods = (f.mul_trunc(hb, ctx.D) for f in it.basis_polys())
-        rows += [poly_to_vec(g, ctx) for g in prods if not g.is_zero()]
+        rows += list(Coords.of_polys([g for g in prods if not g.is_zero()], ctx).dense(ctx.field))
     N = len(monomial_basis(ctx.nvars, ctx.D)[0])
     stack = Coords.of_rows(np.array(rows, dtype=np.int64).reshape(len(rows), N))
     return GradedSubspace.from_vectors(ctx, stack).equals(lhs)
