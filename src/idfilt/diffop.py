@@ -31,9 +31,10 @@ def hasse_apply(f: Poly, J) -> Poly:
     out = {}
     for I, c in f.terms.items():
         b = binom_multi(I, J)
-        if b:
-            # I -> I - J is injective, so every key is written once
-            out[mi_sub(I, J)] = F.mul(c, F.from_int(b))
+        if b and not F.is_zero(b := F.from_int(b)):
+            # zero in F when p | b; I -> I - J is injective, so every key
+            # is written once
+            out[mi_sub(I, J)] = F.mul(c, b)
     return Poly._of(F, f.nvars, out)
 
 

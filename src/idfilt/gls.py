@@ -20,7 +20,10 @@ canonical basis describes it completely.  The multipliers X^A with
 low <= |A| <= k are one column range, so multiples(g, ctx, low) gives each
 term c X^e of g as coordinates through the cached shift map of X^e (a
 Coords: rows, columns, values), and ideal_image stacks those of a pruned
-generating set and returns the GradedSubspace they span.  A generator
+generating set and returns the GradedSubspace they span.  A shift map is
+array arithmetic, no lookup per monomial: the graded-lex rank of X^B is a
+sum of binomial coefficients of the suffix sums B_i + ... + B_(d-1), and
+those of A + e are those of A shifted by those of e.  A generator
 that is a monomial multiple c X^E q of a kept generator q adds no row
 outside the span of the others, so it is dropped first.  The span, and so
 the canonical basis, is the same; on saturated level ideals most minimal
@@ -72,6 +75,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from itertools import accumulate
+from math import comb
+from operator import le
 
 import numpy as np
 
@@ -93,13 +99,34 @@ def monomial_basis(nvars: int, D: int):
 
 
 @lru_cache(maxsize=None)
+def _rank_tables(nvars: int, D: int):
+    """(sums, tables) that give the column of a monomial X^B by arithmetic.
+
+    sums[i] holds B_i + ... + B_(d-1) for every column B, and tables[i][a] is
+    C(a + k - 1, k) with k = d - i, the number of monomials of degree < a in
+    k variables.  The column of X^B is the sum over i of
+    tables[i][B_i + ... + B_(d-1)]: for i = 0 the columns of smaller degree,
+    for i >= 1 the columns of degree |B| that agree with B on x_0..x_(i-2)
+    and have a larger exponent of x_(i-1), which come first in graded-lex
+    order."""
+    mons = np.array(monomial_basis(nvars, D)[0], dtype=np.intp)
+    suffix = np.cumsum(mons[:, ::-1], axis=1)[:, ::-1]
+    sums = tuple(np.ascontiguousarray(suffix[:, i]) for i in range(nvars))
+    tables = tuple(np.array([comb(a + k - 1, k) for a in range(D + 1)], dtype=np.intp)
+                   for k in range(nvars, 0, -1))
+    return sums, tables
+
+
+@lru_cache(maxsize=None)
 def _shift_map(nvars: int, D: int, e):
     """Column of X^(A+e) for each column A with |A| + |e| <= D; those A are
-    a prefix of the columns.  Read-only, since every caller shares it."""
-    mons, index, degree_of = monomial_basis(nvars, D)
-    k = bisect_right(degree_of, D - sum(e))
-    out = np.fromiter((index[tuple(x + y for x, y in zip(A, e))] for A in mons[:k]),
-                      dtype=np.intp, count=k)
+    a prefix of the columns.  The suffix sums of A + e are those of A plus
+    those of e, so the map is one table lookup and one addition per variable
+    (_rank_tables).  Read-only, since every caller shares it."""
+    sums, tables = _rank_tables(nvars, D)
+    k = bisect_right(monomial_basis(nvars, D)[2], D - sum(e))
+    shifts = list(accumulate(reversed(e)))[::-1]  # e_i + ... + e_(d-1)
+    out = sum(T[s:][S[:k]] for T, S, s in zip(tables, sums, shifts))
     out.flags.writeable = False
     return out
 
@@ -417,11 +444,6 @@ def multiples(g: Poly, ctx: TruncationContext, low: int = 0) -> Coords:
                   (stop - start, len(degree_of)))
 
 
-def _divides(a, b) -> bool:
-    """Does the monomial X^a divide X^b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
 def _pruned(gens, ctx: TruncationContext):
     """The truncations of gens minus the monomial multiples of others.
 
@@ -431,24 +453,28 @@ def _pruned(gens, ctx: TruncationContext):
     when one content E divides the other, so per P only the contents minimal
     under division are kept, walking the generators by ascending order,
     which within one P is ascending |E|.  Duplicates and scalar multiples
-    fall out too.
+    fall out too.  One sort of p's exponent tuples gives E (their
+    componentwise minimum, or the one tuple of a monomial), the smallest
+    term, whose coefficient P is divided by, and the key P, its terms in
+    that order.
 
     Every dropped generator's multiples X^A p with |A| + ord(p) <= D are
     multiples, within the same bound, of the kept ones, so the generated
     ideal's image, and its canonical basis, are unchanged.
     """
-    F = ctx.field
+    mul, inv = ctx.field.mul, ctx.field.inv
     contents = {}  # monic primitive part -> minimal contents kept so far
     kept = []
     for p in sorted((g.truncate(ctx.D) for g in gens), key=Poly.order):
         if p.is_zero():
             continue
-        terms = sorted(p.terms.items())
-        E = tuple(map(min, zip(*(e for e, _ in terms))))
-        scale = F.inv(terms[0][1])
-        P = tuple((mi_sub(e, E), F.mul(scale, c)) for e, c in terms)
+        terms = p.terms
+        exps = sorted(terms)
+        E = tuple(map(min, *exps)) if len(exps) > 1 else exps[0]
+        scale = inv(terms[exps[0]])
+        P = tuple((mi_sub(e, E), mul(scale, terms[e])) for e in exps)
         seen = contents.setdefault(P, [])
-        if any(_divides(K, E) for K in seen):
+        if any(all(map(le, K, E)) for K in seen):
             continue
         seen.append(E)
         kept.append(p)

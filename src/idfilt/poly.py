@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field as dfield
+from operator import add, sub
 
 from .fields import Field, FieldError
 
@@ -29,10 +30,10 @@ from .fields import Field, FieldError
 # multi-index helpers (exponent vectors are plain tuples)
 
 def mi_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 def mi_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def grlex_key(exps):
@@ -178,6 +179,7 @@ class Poly:
         """Product with every term of total degree > D discarded."""
         self._check(other)
         F = self.field
+        mul, plus = F.mul, F.add
         right = [(e2, c2, sum(e2)) for e2, c2 in other.terms.items()]
         out = {}
         for e1, c1 in self.terms.items():
@@ -186,8 +188,8 @@ class Poly:
                 if d2 > room:
                     continue
                 e = mi_add(e1, e2)
-                c = F.mul(c1, c2)
-                out[e] = F.add(out[e], c) if e in out else c
+                c = mul(c1, c2)
+                out[e] = plus(out[e], c) if e in out else c
         return Poly._of(F, self.nvars, out)
 
     def shift(self, exps, D=None) -> "Poly":

@@ -239,3 +239,34 @@ def test_envelope_analyze_keeps_no_dense_basis():
     from tests.test_cli import PINNED_REPORTS
     spec = parse_spec(PINNED_REPORTS["gf3_d4_D14"][0])
     assert peak_bytes(analyze, spec) < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("d, D", [(1, 5), (2, 10), (3, 12), (4, 16), (6, 10), (6, 16)])
+def test_shift_map_matches_the_index_lookup(d, D):
+    """The column of X^(A+e) from graded-lex ranks equals the index of A + e,
+    for A over the prefix with |A + e| <= D, on sampled e (the first and
+    last column among them)."""
+    mons, index, degree_of = monomial_basis(d, D)
+    picks = random.Random(f"{d}:{D}").sample(mons, min(25, len(mons)))
+    for e in [mons[0], mons[-1]] + picks:
+        k = sum(1 for n in degree_of if n + sum(e) <= D)
+        want = [index[tuple(a + b for a, b in zip(A, e))] for A in mons[:k]]
+        got = gls._shift_map(d, D, e)
+        assert got.dtype == np.intp and got.tolist() == want
+        assert not got.flags.writeable
+
+
+def test_shift_map_caches_can_be_emptied():
+    """The benchmark empties a module's caches by calling cache_clear on each
+    of its callables that has one; the rank tables are found that way too,
+    and a map built after the clear is the same."""
+    want = gls._shift_map(3, 4, (1, 0, 0)).tolist()
+    cleared = [name for name, fn in vars(gls).items()
+               if callable(getattr(fn, "cache_clear", None))]
+    assert {"_rank_tables", "_shift_map", "monomial_basis"} <= set(cleared)
+    for name in cleared:
+        getattr(gls, name).cache_clear()
+    assert gls._rank_tables.cache_info().currsize == 0
+    x = gls._shift_map(3, 4, (1, 0, 0))
+    assert x.tolist() == want and len(x) == comb(3 + 3, 3)
+    assert x[:10].tolist() == [1, 4, 5, 6, 10, 11, 12, 13, 14, 15]

@@ -6,7 +6,11 @@ multiples, check that each dropped generator lies in the span of what was
 kept, and check that no kept generator is a monomial multiple of another.
 """
 
+import random
 from fractions import Fraction
+from math import comb
+
+import pytest
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -140,3 +144,76 @@ def test_pruning_cuts_the_rows_of_the_saturated_level_ideal(monkeypatch):
     assert (len(prods), stacked, handed) == (137, 9024, [1704])
     monkeypatch.undo()
     assert got.equals(unpruned(prods, ctx))
+
+
+def reference_divides(a, b) -> bool:
+    """Does the monomial X^a divide X^b (the pairwise test _pruned used to
+    make)."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def reference_pruned(gens, ctx):
+    """_pruned as it was written before it sorted each generator's exponents
+    once: per-term pairs, the content by zip, and a Python divisibility
+    test."""
+    F = ctx.field
+    contents = {}
+    kept = []
+    for p in sorted((g.truncate(ctx.D) for g in gens), key=Poly.order):
+        if p.is_zero():
+            continue
+        terms = sorted(p.terms.items())
+        E = tuple(map(min, zip(*(e for e, _ in terms))))
+        scale = F.inv(terms[0][1])
+        P = tuple((tuple(x - y for x, y in zip(e, E)), F.mul(scale, c)) for e, c in terms)
+        seen = contents.setdefault(P, [])
+        if any(reference_divides(K, E) for K in seen):
+            continue
+        seen.append(E)
+        kept.append(p)
+    return kept
+
+
+def random_scalar(F, rnd):
+    if F.char:
+        return rnd.randrange(1, F.p ** F.m)
+    return Fraction(rnd.choice([-3, -2, -1, 1, 2, 5]), rnd.choice([1, 2, 3]))
+
+
+def random_generators(F, rnd):
+    """A context and a list holding base generators, exact duplicates, scalar
+    twins, monomial multiples (some past D), monomials, terms above D and
+    generators that truncate to zero."""
+    ctx = TruncationContext(F, rnd.randint(1, 4), rnd.randint(2, 7), frozenset())
+    d, D = ctx.nvars, ctx.D
+    mons = monomial_basis(d, D + 2)[0]
+
+    def poly(n):
+        return Poly(F, d, {rnd.choice(mons): random_scalar(F, rnd) for _ in range(n)})
+
+    gens = [poly(rnd.randint(1, 4)) for _ in range(rnd.randint(1, 5))]
+    gens += [Poly.monomial(F, d, rnd.choice(mons), random_scalar(F, rnd))
+             for _ in range(rnd.randint(0, 3))]
+    gens += [Poly.monomial(F, d, (D + 1,) + (0,) * (d - 1))]  # zero truncation
+    for _ in range(rnd.randint(3, 12)):
+        g = rnd.choice(gens)
+        kind = rnd.randrange(3)
+        if kind == 0:
+            gens.append(g)
+        elif kind == 1:
+            gens.append(g.scale(random_scalar(F, rnd)))
+        else:
+            gens.append(g.shift(rnd.choice(mons[:comb(2 + d, d)])).scale(random_scalar(F, rnd)))
+    rnd.shuffle(gens)
+    return ctx, gens
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_pruning_matches_the_pairwise_reference(F):
+    rnd = random.Random(f"pruned:{F!r}")
+    for _ in range(150):
+        ctx, gens = random_generators(F, rnd)
+        want = reference_pruned(gens, ctx)
+        got = gls._pruned(gens, ctx)
+        assert [p.terms for p in got] == [p.terms for p in want]
+        assert [list(p.terms) for p in got] == [list(p.terms) for p in want]
