@@ -55,22 +55,16 @@ class FiltrationSpec:
     __slots__ = ("ctx", "gens", "_level_cache")
 
     def __init__(self, ctx: TruncationContext, gens):
-        clean = []
-        seen = set()
+        clean = {}  # (level, sort key) -> the first generator with that key
         for f, a in gens:
             if f.field != ctx.field or f.nvars != ctx.nvars:
                 raise ValueError("generator does not live in the ambient ring")
             a = Fraction(a)
             if a <= 0 or f.is_zero():
                 continue
-            key = (a, f.sort_key())
-            if key in seen:
-                continue
-            seen.add(key)
-            clean.append((f, a))
-        clean.sort(key=lambda fa: (fa[1], fa[0].sort_key()))
+            clean.setdefault((a, f.sort_key()), (f, a))
         self.ctx = ctx
-        self.gens = tuple(clean)
+        self.gens = tuple(clean[key] for key in sorted(clean))
         self._level_cache = {}
 
     # presentation ---------------------------------------------------------

@@ -19,16 +19,21 @@ subspace it spans, closed under multiplication by the variables, and the
 canonical basis describes it completely.  The multipliers X^A with
 low <= |A| <= k are one column range, so multiples(g, ctx, low) gives each
 term c X^e of g as coordinates through the cached shift map of X^e (a
-Coords: rows, columns, values), and ideal_image stacks those of a pruned
-generating set and returns the GradedSubspace they span.  A shift map is
-array arithmetic, no lookup per monomial: the graded-lex rank of X^B is a
-sum of binomial coefficients of the suffix sums B_i + ... + B_(d-1), and
-those of A + e are those of A shifted by those of e.  A generator
-that is a monomial multiple c X^E q of a kept generator q adds no row
-outside the span of the others, so it is dropped first.  The span, and so
-the canonical basis, is the same; on saturated level ideals most minimal
-generator products are such multiples (GF(3), d=3, D=12, level 3: 137
-minimal products and 9,024 rows become 16 and 1,704).
+Coords: rows, columns, values), and ideal_image returns the GradedSubspace
+that the generators' multiples span.  A shift map is array arithmetic, no
+lookup per monomial: the graded-lex rank of X^B is a sum of binomial
+coefficients of the suffix sums B_i + ... + B_(d-1), and those of A + e
+are those of A shifted by those of e.  ideal_image splits the generators
+by term count.  The multiples of a one-term generator c X^e are the unit
+vectors of the columns X^(A+e), so all of them are one boolean mask over
+the columns, marked through the shift maps; scalar twins and monomial
+multiples of marked exponents add nothing to it, and it joins the stack
+as unit rows.  Of the other generators, one that is a monomial multiple
+c X^E q of a kept generator q adds no row outside the span of the others,
+so it is dropped before its multiples are built.  The span, and so the
+canonical basis, is the same.  On saturated level ideals most minimal
+generator products are monomials, and most others such multiples (GF(3),
+d=3, D=12, level 3: 137 minimal products and 9,024 rows become 582 rows).
 
 Every basis, like every stack, is a Coords: its nonzero entries, sorted by
 row, then column, as int64 values over a finite field (residues in [0, p)
@@ -52,18 +57,18 @@ truncated ring.
 
 Every stack reaches _rref as coordinates, none built dense: multiples,
 polynomials (Coords.of_polys), and the bases a sum, a meet or a check
-stacks.  _rref first takes out the unit rows: the
-multiples X^A g are mostly rows with one nonzero, whose columns U are then
-pivot columns of the RREF with unit rows e_c.  Clearing U from the other
-rows can leave new singletons, so this repeats; it is the singleton step of
-structured Gaussian elimination (LaMacchia and Odlyzko, "Solving large
-sparse linear systems over finite fields", CRYPTO 1990), structural pivots
-found before any arithmetic.  Only the rows left nonzero, on the columns
+stacks.  _rref first takes out the unit rows: the level ideals' stacks
+are mostly rows with one nonzero, whose columns U are then pivot columns
+of the RREF with unit rows e_c.  Clearing U from the other rows can leave
+new singletons, so this repeats; it is the singleton step of structured
+Gaussian elimination (LaMacchia and Odlyzko, "Solving large sparse
+linear systems over finite fields", CRYPTO 1990), structural pivots found
+before any arithmetic.  Only the rows left nonzero, on the columns
 outside U, are made dense for the kernel.  Those RREF rows vanish on U and
 the rows e_c vanish on their pivots, so the two sets together, sorted by
 pivot, are the canonical RREF of the whole matrix.  At GF(3), d=4, D=14
-the largest level-ideal stack, 10,165 x 3,060 with 11,881 nonzeros, leaves
-the kernel 20 x 493.
+a level-ideal stack of 3,577 x 3,060 with 5,293 nonzeros leaves the kernel
+20 x 493.
 
 Vectors have N = C(D+d, d) coordinates; the supported envelope is d <= 6,
 D <= 16.  The spec parser still refuses a ring whose level-0 ideal, as an
@@ -83,19 +88,23 @@ import numpy as np
 
 from ._kernels import reduce_mod_p, rref_mod_p
 from ._linalg import reduce_generic, rref_generic
-from .poly import Poly, TruncationContext, grlex_key, mi_sub
+from .poly import Poly, TruncationContext, mi_sub
 
 
 @lru_cache(maxsize=None)
 def monomial_basis(nvars: int, D: int):
-    """All exponent tuples of degree <= D in graded-lex column order."""
-    mons = [()]
-    for _ in range(nvars):
-        mons = [m + (e,) for m in mons for e in range(D + 1 - sum(m))]
-    mons.sort(key=grlex_key)
+    """All exponent tuples of degree <= D in graded-lex column order, built
+    in that order: level[t] lists the tuples of degree t lexicographically
+    descending, first exponent from t down to 0, each followed by the
+    tuples of the remaining variables and degree in the same order."""
+    level = [[(t,)] for t in range(D + 1)]
+    for _ in range(nvars - 1):
+        level = [[(a,) + r for a in range(t, -1, -1) for r in level[t - a]]
+                 for t in range(D + 1)]
+    mons = tuple(m for part in level for m in part)
     index = {m: i for i, m in enumerate(mons)}
-    degree_of = tuple(sum(m) for m in mons)
-    return tuple(mons), index, degree_of
+    degree_of = tuple(t for t, part in enumerate(level) for _ in part)
+    return mons, index, degree_of
 
 
 @lru_cache(maxsize=None)
@@ -484,11 +493,31 @@ def _pruned(gens, ctx: TruncationContext):
 def ideal_image(gens, ctx: TruncationContext) -> GradedSubspace:
     """Span of {X^A g : |A| + ord(g) <= D}: the image of the ideal (gens).
 
-    The multiples are stacked only for the generators _pruned keeps: it drops
-    monomial multiples of kept generators, which add no row outside the span
-    of the rest.  So the span, and the canonical basis, is that of the full
-    stack."""
-    blocks = [multiples(g, ctx) for g in _pruned(gens, ctx)] or [Coords.of_polys([], ctx)]
+    The multiples of the one-term generators c X^e are the unit vectors of
+    the columns X^(A+e), so they are one set of columns: a mask over the N
+    columns, marked through the shift maps with the exponents walked by
+    column, where an exponent whose own column is already marked is a
+    multiple of one marked before and is skipped.  The mask joins the stack
+    as its unit rows, which the presolve takes in its first round.  The
+    other generators stack their multiples only when _pruned keeps them: it
+    drops monomial multiples of kept generators, which add no row outside
+    the span of the rest, and no monomial is a monomial multiple of a
+    generator with more terms.  So the span, and the canonical basis, is
+    that of the full stack."""
+    mons, index, _ = monomial_basis(ctx.nvars, ctx.D)
+    ones, others = set(), []
+    for g in gens:
+        p = g.truncate(ctx.D)
+        if len(p.terms) == 1:
+            ones.add(index[next(iter(p.terms))])
+        elif p.terms:
+            others.append(p)
+    mask = np.zeros(len(mons), dtype=bool)
+    for c in sorted(ones):
+        if not mask[c]:
+            mask[_shift_map(ctx.nvars, ctx.D, mons[c])] = True
+    blocks = [_units(ctx, mask.nonzero()[0]).basis]
+    blocks += [multiples(g, ctx) for g in _pruned(others, ctx)]
     return GradedSubspace.from_vectors(ctx, Coords.stack(blocks))
 
 

@@ -142,6 +142,10 @@ class Poly:
                         {e: c for e, c in self.terms.items() if sum(e) == n})
 
     def truncate(self, D: int) -> "Poly":
+        """The terms of degree <= D; self when no term is above D, as a Poly
+        is never changed after construction."""
+        if self.degree() <= D:
+            return self
         return Poly._of(self.field, self.nvars,
                         {e: c for e, c in self.terms.items() if sum(e) <= D})
 
@@ -262,8 +266,10 @@ class Poly:
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
 
     def sort_key(self):
+        """The (grlex_key, scalar sort key) pairs of the terms, in graded-lex
+        order: exponents are distinct, so the pairs sort by their first."""
         F = self.field
-        return tuple((grlex_key(e), F.sort_key(c)) for e, c in self.sorted_terms())
+        return tuple(sorted((grlex_key(e), F.sort_key(c)) for e, c in self.terms.items()))
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.field == other.field

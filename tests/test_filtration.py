@@ -1,11 +1,12 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from idfilt.filtration import FiltrationSpec, is_integral_witness
-from idfilt.gls import GradedSubspace, ideal_image, power_m
+from idfilt.gls import GradedSubspace, ideal_image, monomial_basis, power_m
 from idfilt.poly import Poly, poly_str
 from tests.conftest import ctx_of, mk
 
@@ -342,3 +343,59 @@ def test_minimal_products_between_grid_points(F3):
     got = {poly_str(p) for p in F._minimal_products(Fraction(7, 6))}
     assert got == {"x^3", "y^4", "x*y^2"}
     assert [poly_str(p) for p in F._minimal_products(0)] == ["1"]
+
+
+def two_key_generators(ctx, gens):
+    """FiltrationSpec's generators as they were built with two sort keys per
+    generator: dedupe on (level, sort key) in a set, then sort the list."""
+    clean = []
+    seen = set()
+    for f, a in gens:
+        a = Fraction(a)
+        if a <= 0 or f.is_zero():
+            continue
+        key = (a, f.sort_key())
+        if key in seen:
+            continue
+        seen.add(key)
+        clean.append((f, a))
+    clean.sort(key=lambda fa: (fa[1], fa[0].sort_key()))
+    return tuple(clean)
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F9", "QQ"])
+def test_generators_match_the_two_key_construction(name, request):
+    """One dict keyed by (level, sort key) keeps the same generators, the
+    first of each key, in the same order: on seeded lists with exact
+    duplicates, scalar twins, equal polynomials at other levels, zero
+    polynomials and non-positive levels."""
+    F = request.getfixturevalue(name)
+    rnd = random.Random(f"gens:{name}")
+    levels = [Fraction(1, 3), Fraction(1, 2), 1, 2, Fraction(5, 2), 3, 0, -1]
+    for _ in range(40):
+        ctx = ctx_of(F, rnd.randint(1, 3), rnd.randint(2, 6))
+        mons = monomial_basis(ctx.nvars, ctx.D)[0]
+
+        def scalar():
+            if F.char:
+                return rnd.randrange(1, F.p ** F.m)
+            return Fraction(rnd.choice([-3, -1, 1, 2, 5]), rnd.choice([1, 2, 3]))
+
+        gens = [(Poly(F, ctx.nvars, {rnd.choice(mons): scalar()
+                                     for _ in range(rnd.randint(1, 3))}),
+                 rnd.choice(levels)) for _ in range(rnd.randint(1, 6))]
+        gens.append((Poly.zero(F, ctx.nvars), 1))
+        for _ in range(rnd.randint(2, 10)):
+            f, a = rnd.choice(gens)
+            kind = rnd.randrange(3)
+            if kind == 0:
+                gens.append((Poly(F, ctx.nvars, f.terms), a))  # an equal copy
+            elif kind == 1:
+                gens.append((f.scale(scalar()), a))  # a scalar twin, or a copy
+            else:
+                gens.append((f, rnd.choice(levels)))
+        rnd.shuffle(gens)
+        got = FiltrationSpec(ctx, gens).gens
+        want = two_key_generators(ctx, gens)
+        assert got == want
+        assert [id(f) for f, _ in got] == [id(f) for f, _ in want]

@@ -175,6 +175,20 @@ def test_monomial_basis_matches_filtered_product():
         assert len(monomial_basis(d, D)[0]) == comb(D + d, d)
 
 
+@pytest.mark.parametrize("d, D", [(1, 5), (2, 10), (3, 12), (4, 16), (6, 10)])
+def test_monomial_basis_is_the_sorted_graded_lex_list(d, D):
+    """The columns built in graded-lex order are the tuples of degree <= D
+    sorted by grlex_key."""
+    mons = [()]
+    for _ in range(d):
+        mons = [m + (e,) for m in mons for e in range(D + 1 - sum(m))]
+    want = sorted(mons, key=grlex_key)
+    got, index, degree_of = monomial_basis(d, D)
+    assert got == tuple(want)
+    assert index == {m: i for i, m in enumerate(want)}
+    assert degree_of == tuple(map(sum, want))
+
+
 def test_every_stack_reaches_rref_as_coordinates(monkeypatch):
     """_rref eliminates a Coords and nothing else, on an analyze where every
     stage runs and on the verify suites that sum, meet and check."""

@@ -1,7 +1,7 @@
 """ideal_image stacks only a pruned generating set; the span must not move.
 
-The pruning (gls._pruned) drops monomial multiples c X^E q of a kept q.
-These tests compare ideal_image with the unpruned stack of every generator's
+The pruning (gls._pruned) drops monomial multiples c X^E q of a kept q, and
+the one-term generators become one set of unit columns.  These tests compare ideal_image with the unpruned stack of every generator's
 multiples, check that each dropped generator lies in the span of what was
 kept, and check that no kept generator is a monomial multiple of another.
 """
@@ -121,8 +121,10 @@ def test_pruning_examples(F3, QQ):
 
 def test_pruning_cuts_the_rows_of_the_saturated_level_ideal(monkeypatch):
     # the level-3 ideal of this pin's saturation has 137 minimal products,
-    # 9,024 rows, before pruning, and 1,704 rows after; the walk that finds
-    # them builds 196 products, each a divisor of one it returns
+    # 9,024 rows, before pruning; ideal_image hands the presolve 582, the
+    # unit rows of the monomial products' columns and the multiples of the
+    # other products that _pruned keeps; the walk that finds them builds
+    # 196 products, each a divisor of one it returns
     spec = parse_spec(PINNED_REPORTS["gf3_d3_D12"][0])
     opts = spec.options
     F0 = FiltrationSpec(spec.context(), spec.gens)
@@ -141,7 +143,7 @@ def test_pruning_cuts_the_rows_of_the_saturated_level_ideal(monkeypatch):
 
     monkeypatch.setattr(gls, "_rref", counting_rref)
     got = ideal_image(prods, ctx)
-    assert (len(prods), stacked, handed) == (137, 9024, [1704])
+    assert (len(prods), stacked, handed) == (137, 9024, [582])
     monkeypatch.undo()
     assert got.equals(unpruned(prods, ctx))
 
@@ -217,3 +219,63 @@ def test_pruning_matches_the_pairwise_reference(F):
         got = gls._pruned(gens, ctx)
         assert [p.terms for p in got] == [p.terms for p in want]
         assert [list(p.terms) for p in got] == [list(p.terms) for p in want]
+
+
+def monomial_mixture(F, rnd):
+    """A context and a list for ideal_image's split by term count: general
+    polynomials, monomials (some above D), a polynomial that truncates to a
+    monomial, scalar twins of monomials, monomial multiples of the general
+    polynomials, a zero polynomial and, in some lists, a constant."""
+    ctx = TruncationContext(F, rnd.randint(1, 4), rnd.randint(2, 7), frozenset())
+    d, D = ctx.nvars, ctx.D
+    mons = monomial_basis(d, D + 2)[0]
+    high = [m for m in mons if sum(m) > D]
+
+    def poly(n):
+        return Poly(F, d, {rnd.choice(mons[1:]): random_scalar(F, rnd) for _ in range(n)})
+
+    base = [poly(rnd.randint(2, 4)) for _ in range(rnd.randint(1, 3))]
+    monos = [Poly.monomial(F, d, rnd.choice(mons[1:]), random_scalar(F, rnd))
+             for _ in range(rnd.randint(1, 5))]
+    gens = base + monos + [Poly.zero(F, d)]
+    gens.append(Poly(F, d, {rnd.choice(mons[1:comb(D + d, d)]): random_scalar(F, rnd),
+                            rnd.choice(high): random_scalar(F, rnd)}))
+    gens += [m.scale(random_scalar(F, rnd)) for m in rnd.sample(monos, min(2, len(monos)))]
+    gens += [g.shift(rnd.choice(mons[:comb(2 + d, d)])).scale(random_scalar(F, rnd))
+             for g in rnd.choices(base, k=3)]
+    if rnd.randrange(4) == 0:
+        gens.append(Poly.const(F, d, random_scalar(F, rnd)))
+    rnd.shuffle(gens)
+    return ctx, gens
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_monomial_columns_keep_the_span(F):
+    """ideal_image with the one-term generators as one column set spans what
+    the multiples of every generator span."""
+    rnd = random.Random(f"columns:{F!r}")
+    for _ in range(60):
+        ctx, gens = monomial_mixture(F, rnd)
+        assert ideal_image(gens, ctx).equals(unpruned(gens, ctx))
+
+
+def test_no_one_term_generator_reaches_pruning_or_multiples(monkeypatch):
+    """During analyze of the gf3_d3_D12 pin, ideal_image takes every monomial
+    generator as columns: neither _pruned nor multiples sees one."""
+    from idfilt.pipeline import analyze
+    seen = []
+    pruned, mults = gls._pruned, gls.multiples
+
+    def counting_pruned(gens, ctx):
+        gens = list(gens)
+        seen.extend(gens)
+        return pruned(gens, ctx)
+
+    def counting_multiples(g, ctx, low=0):
+        seen.append(g)
+        return mults(g, ctx, low)
+
+    monkeypatch.setattr(gls, "_pruned", counting_pruned)
+    monkeypatch.setattr(gls, "multiples", counting_multiples)
+    analyze(parse_spec(PINNED_REPORTS["gf3_d3_D12"][0]))
+    assert seen and all(len(g.terms) > 1 for g in seen)
