@@ -17,6 +17,7 @@ force every level ideal to be the whole local ring.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -92,6 +93,16 @@ class FiltrationSpec:
         from .poly import poly_str
         inner = ", ".join(f"({poly_str(f)} @ {a})" for f, a in self.gens)
         return f"FiltrationSpec[{inner}]"
+
+    def truncated(self, n: int) -> "FiltrationSpec":
+        """The same generators truncated at n, over R/m^(n+1) (same field,
+        variables and boundary).  Its level ideals are the images of these in
+        that quotient: the quotient map is a ring map, and a generator it
+        kills only drops out of products that vanish there anyway."""
+        if not 1 <= n <= self.ctx.D:
+            raise ValueError("can only truncate at 1..D")
+        ctx = dataclasses.replace(self.ctx, D=n)
+        return FiltrationSpec(ctx, [(f.truncate(n), a) for f, a in self.gens])
 
     # level ideals -----------------------------------------------------------
 

@@ -21,8 +21,13 @@ of its rows with initial form w.
 
 The leading algebra is not stored: LeadingAlgebra reads each graded piece
 from the filtration's cached level ideal when asked, and the extraction
-asks only for the pure degrees 1, p, p^2, ..., so no other level ideal is
-ever built.
+asks only for the pure degrees 1, p, p^2, ....  The piece L_q depends only
+on I_q modulo m^(q+1): graded-lex columns of degree <= q are a prefix of
+all columns, so the echelon rows of I_q with pivots in that prefix, cut to
+it, are the canonical basis of its image in R/m^(q+1).  Once a root is
+chosen, a level may add none, so the extraction reads it from the
+filtration truncated at q and builds I_q over R/m^(D+1) only to lift a
+new root.  No level ideal outside the pure degrees is ever built.
 """
 
 from __future__ import annotations
@@ -149,8 +154,11 @@ def extract_lgs(F: FiltrationSpec, E_max: int | None = None):
     Walks the pure parts by increasing Frobenius level; whenever the root
     space grows, the previously chosen roots are extended to a basis by
     greedy pivoting on coefficient vectors, and each new initial form is
-    lifted to a filtration element of the level ideal.  Returns (LGS,
-    SigmaSeq, LeadingAlgebra).
+    lifted to a filtration element of the level ideal.  Until the first
+    root, a pure part is read from F's level ideal I_q, which a nonzero
+    pure part then needs for its lift anyway; after it, from
+    F.truncated(q) when q < D, so I_q is built over R/m^(D+1) only for a
+    level that adds a root.  Returns (LGS, SigmaSeq, LeadingAlgebra of F).
     """
     ctx = F.ctx
     p = ctx.field.char
@@ -166,7 +174,9 @@ def extract_lgs(F: FiltrationSpec, E_max: int | None = None):
     stabilized = False
     sigma_vals = []
     for e in range(E_max + 1):
-        basis, roots = pure_part(L, e)
+        q = p ** e
+        Lq = leading_algebra(F.truncated(q)) if chosen and q < ctx.D else L
+        basis, roots = pure_part(Lq, e)
         rows = [linear_coefficients(v) for v in roots]
         sigma_vals.append(ctx.nvars - len(rows))
         # the chosen roots are independent, so they are the first pivots

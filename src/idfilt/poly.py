@@ -9,7 +9,8 @@ orders or division algorithms are ever needed; truncated multiplication and
 exact linear algebra carry everything.
 
 The constructors are the one place that drops zero coefficients, so the
-arithmetic loops accumulate without testing for zero.  mul_trunc is the one
+arithmetic loops accumulate without testing for zero; the public one also
+reduces GF(p) coefficients to residues in [0, p).  mul_trunc is the one
 product loop (the full product and the monomial shift are truncated products
 at D = inf or D) and pow_trunc the one square-and-multiply.
 
@@ -73,10 +74,17 @@ class Poly:
         self.nvars = nvars
         clean = {}
         if terms:
+            # a GF(p) scalar is kept as its residue in [0, p), so polynomials
+            # that print alike are equal, with equal hashes and sort keys
+            p = field.p if field.kind == "prime-field" else 0
             for exps, c in terms.items():
                 if len(exps) != nvars:
                     raise ValueError("exponent length mismatch")
-                if not field.is_zero(c):
+                if p:
+                    c %= p
+                    if c:
+                        clean[tuple(exps)] = c
+                elif not field.is_zero(c):
                     clean[tuple(exps)] = c
         self.terms = clean
 

@@ -261,11 +261,12 @@ def b_saturate_probe(F: FiltrationSpec, bounds: RadicalProbeBounds = RadicalProb
 
     Candidate pool: p^e-th roots of the differentially saturated
     generators, exact theta upgrades when the generators are all monomial,
-    and caller-supplied pairs.  Every probe member is adjoined and the
-    result re-closed under derivatives, so each addition genuinely lies in
-    the joint saturation; the output under-approximates it.  A caller that
-    has d_saturate_log(F) already passes it as sat; the probe's level ideals
-    are cached on a copy of it, so the caller's object does not hold them.
+    and caller-supplied pairs.  Every probe member not already in the
+    saturation (witness n = 1) is adjoined and the result re-closed under
+    derivatives, so each addition genuinely lies in the joint saturation;
+    the output under-approximates it.  A caller that has d_saturate_log(F)
+    already passes it as sat; the probe's level ideals are cached on a copy
+    of it, so the caller's object does not hold them.
 
     Returns (saturated FiltrationSpec, list of (poly, level, witness_n)).
     """
@@ -283,10 +284,9 @@ def b_saturate_probe(F: FiltrationSpec, bounds: RadicalProbeBounds = RadicalProb
         if key in seen:
             continue
         seen.add(key)
-        if g.degree() <= F.ctx.D and sat.ideal_at_level(a).contains_poly(g.truncate(F.ctx.D)):
-            continue
         verdict = radical_probe(sat, g, a, bounds)
-        if verdict.member:
+        # witness n = 1 is g in I_a itself: a member already, nothing to add
+        if verdict.member and verdict.witness_n != 1:
             added.append((g, a, verdict.witness_n))
     if not added:
         return sat, []

@@ -176,6 +176,16 @@ PINNED_REPORTS = {
     "gf2_d6_D10": ("field: GF(2)\nvars: x, y, z, w, u, v\ntruncation: 10\n"
                    "gen: x^3 + y^4 + z^5 @ 3\ngen: x*y*z @ 2\n",
                    "7e14d0933ff01f3707639d9c96b725d476c12883206c15bdd02ef6a4e4c9e7a7"),
+    # the E_TRUNC edge at d=5: one root at level 1, so every higher pure part
+    # is read in R/m^(q+1) alone
+    "gf2_d5_D13": ("field: GF(2)\nvars: x, y, z, w, u\ntruncation: 13\n"
+                   "gen: x^3 + y^4 + z^5 @ 3\ngen: x*y*z @ 2\n",
+                   "ef29d2aef31b61df121723ea9873ce4b9a8fe0c0aa83ff874d52795d56de4eed"),
+    # roots at levels 1 and 2: level 2 is read in R/m^3, then lifted from the
+    # level ideal over the whole ring
+    "gf2_two_roots": ("field: GF(2)\nvars: x, y, z\ntruncation: 10\n"
+                      "gen: x + z^3 @ 1\ngen: y^2 + z^5 @ 2\n",
+                      "9eae31cd4b1c3c4adb9dd9b9d582b7b84c659172f042d2d75cb88fe6f78cf06b"),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from idfilt.gls import GradedSubspace, ideal_image
 from idfilt.leading import (default_emax, extract_lgs, leading_algebra,
                             pure_part, sigma)
 from idfilt.poly import Poly, poly_str
-from idfilt.saturation import d_saturate
+from idfilt.saturation import d_saturate, d_saturate_log
 from tests.conftest import ctx_of, mk
 
 
@@ -82,10 +83,63 @@ def test_leading_algebra_builds_no_level_ideal(F2):
 
 
 def test_extract_lgs_builds_only_pure_levels(F2):
-    # D = 10 over GF(2): the pure parts live in degrees 1, 2, 4 and 8
+    # D = 10 over GF(2): the pure parts live in degrees 1, 2, 4 and 8.  The
+    # root x^2 comes at level 2, so levels 4 and 8, which add none, are read
+    # in R/m^5 and R/m^9 and never built over the whole ring
     F = showcase(F2)
     extract_lgs(F)
-    assert set(F._level_cache) == {1, 2, 4, 8}
+    assert set(F._level_cache) == {1, 2}
+
+
+def test_extract_lgs_builds_full_levels_only_for_new_roots(F2):
+    # roots x at level 1 and y at level 4; levels 2 and 8 add none
+    ctx = ctx_of(F2, 2, 10)
+    F = d_saturate(FiltrationSpec(ctx, [(mk(F2, "x + y^3"), 1), (mk(F2, "y^4"), 4)]))
+    lgs, sig, _ = extract_lgs(F)
+    assert [(poly_str(h), e) for h, e in lgs] == [("x + y^3", 0), ("y^4", 2)]
+    assert sig.values == (1, 1, 0, 0)
+    assert set(F._level_cache) == {1, 4}
+
+
+def _pure_specs(rng, field):
+    """Saturated specs over field: seeded random ones, one with a boundary
+    and one with a unit generator."""
+    from idfilt.verify import rand_poly, rand_spec
+    specs = []
+    for D in (6, 9, 9, 10):
+        spec = rand_spec(rng, field, rng.choice([2, 3]), D, 3)
+        # a high-degree term that the small rings cut away
+        tail = rand_poly(rng, field, spec.ctx.nvars, max_deg=D, terms=2, min_ord=D - 2)
+        specs.append(FiltrationSpec(spec.ctx, list(spec.gens) + [(tail, 1)]))
+    ctx = ctx_of(field, 3, 9, boundary=[2])
+    specs.append(FiltrationSpec(ctx, [(mk(field, "x + z^4", "xyz"), 1),
+                                      (mk(field, "y^3 + x*z^2", "xyz"), 3)]))
+    specs.append(FiltrationSpec(ctx_of(field, 2, 9),
+                                [(mk(field, "1 + x^5"), Fraction(1, 2))]))
+    return [d_saturate_log(F) for F in specs]
+
+
+@pytest.mark.parametrize("field", ["F2", "F3", "F9"])
+def test_pure_parts_read_in_the_truncated_ring(field, rng, request):
+    # L_q depends only on I_q modulo m^(q+1): the same basis and roots
+    field = request.getfixturevalue(field)
+    p = field.char
+    for F in _pure_specs(rng, field):
+        L = leading_algebra(F)
+        e = 0
+        while p ** e <= F.ctx.D:
+            small = F.truncated(p ** e)
+            assert small.ctx == dataclasses.replace(F.ctx, D=p ** e)
+            assert pure_part(leading_algebra(small), e) == pure_part(L, e)
+            e += 1
+
+
+def test_truncated_is_bounded_by_the_truncation(F2):
+    F = showcase(F2)
+    assert F.truncated(F.ctx.D) == F
+    for n in (0, F.ctx.D + 1):
+        with pytest.raises(ValueError):
+            F.truncated(n)
 
 
 def test_extract_lgs_showcase_char2(F2):
@@ -111,6 +165,11 @@ class LevelTable(FiltrationSpec):
 
     def ideal_at_level(self, a):
         return ideal_image(self.table.get(a, []), self.ctx)
+
+    def truncated(self, n):
+        return LevelTable(dataclasses.replace(self.ctx, D=n),
+                          {a: [g.truncate(n) for g in gens]
+                           for a, gens in self.table.items()})
 
 
 def test_sigma_not_stabilized_when_an_earlier_root_leaves(F2):

@@ -6,9 +6,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from idfilt.fields import ExtensionField, FieldError, PrimeField, RationalField
+from idfilt.filtration import FiltrationSpec
 from idfilt.poly import (Poly, PolyParseError, TruncationContext, parse_poly,
                          poly_str)
-from tests.conftest import mk
+from tests.conftest import ctx_of, mk
 
 
 def test_mul_trunc_examples(QQ, F2):
@@ -240,3 +241,15 @@ def test_cancelling_products(F):
         assert_same((x + Poly.one(F, 2)).pow(p), want)
         assert_same((x + Poly.one(F, 2)).pow_trunc(p, p), want)
         assert_same((x + Poly.one(F, 2)).pow_trunc(p, p - 1), {(0, 0): F.one()})
+
+
+def test_prime_field_coefficients_are_residues(F3):
+    # 5 = 2 = -1 in GF(3): one polynomial, whichever representative is given
+    alike = [Poly(F3, 1, {(1,): c}) for c in (5, 2, -1)]
+    assert all(f.terms == {(1,): 2} for f in alike)
+    assert len(set(alike)) == 1 and len({f.sort_key() for f in alike}) == 1
+    assert {poly_str(f) for f in alike} == {"2*x"}
+    assert Poly(F3, 1, {(1,): 3, (2,): -3}).is_zero()
+    assert Poly.monomial(F3, 2, (1, 1), 7) == mk(F3, "x*y")
+    F = FiltrationSpec(ctx_of(F3, 1, 6), [(f, 1) for f in alike])
+    assert len(F.gens) == 1
