@@ -5,10 +5,15 @@ a, with I_a * I_b inside I_(a+b) and I_0 = R.  Here one is presented by a
 finite list of (polynomial, positive rational level) generators; the ideal
 at level a is generated by the products of generators whose levels sum to
 at least a, and at a <= 0 by the empty product 1, so I_0 = R comes out of
-the same construction as every other level.  The minimal such products, the
-ones that fall short of a once any one factor is removed, suffice: every
-other qualifying product is a multiple of one of them.  All ideals are taken
-as images in R/m^(D+1), each the canonical GradedSubspace it spans.
+the same construction as every other level.  All ideals are taken as images in
+R/m^(D+1), each the canonical GradedSubspace it spans.
+
+After saturation almost every generator is a monomial X^e.  Their part of
+every level ideal at once is one table over the columns: w(E), the largest
+level of a product of monomial generators that divides X^E, built once per
+filtration (gls.monomial_weights).  Only the products P of the generators
+with two or more terms are walked, and I_a is spanned by the rows P X^A
+with w(A) in a window at a minus the level of P (see _minimal_products).
 
 Normalization drops zero polynomials and non-positive levels (both carry no
 information), and detects generators that are units at the origin, which
@@ -21,39 +26,15 @@ import dataclasses
 import math
 from fractions import Fraction
 
-from .gls import GradedSubspace, ideal_image
+from .gls import GradedSubspace, ideal_image, monomial_weights
 from .poly import Poly, TruncationContext
 from .values import SatValue, sat_min
-
-
-def _level_fits(data, D, top):
-    """fits[i][b] for b = 0..D: the bitset whose bit s says that some product
-    of the generators data[i:] (polynomial, integer level, order), each
-    repeated freely, has order <= b and level s < top.  The empty product
-    gives s = 0.  Filled as an unbounded knapsack from the last generator."""
-    mask = (1 << top) - 1
-    row = [1] * (D + 1)
-    fits = [row]
-    for _, lvl, ordf in reversed(data):
-        row = list(row)
-        if ordf == 0:
-            # a unit: repeating it costs no order, so close each bitset
-            for b, bits in enumerate(row):
-                while (grown := (bits | bits << lvl) & mask) != bits:
-                    bits = grown
-                row[b] = bits
-        else:
-            for b in range(ordf, D + 1):
-                row[b] |= row[b - ordf] << lvl & mask
-        fits.append(row)
-    fits.reverse()
-    return fits
 
 
 class FiltrationSpec:
     """Finite generator presentation of an idealistic filtration."""
 
-    __slots__ = ("ctx", "gens", "_level_cache")
+    __slots__ = ("ctx", "gens", "_level_cache", "_tables")
 
     def __init__(self, ctx: TruncationContext, gens):
         clean = {}  # (level, sort key) -> the first generator with that key
@@ -67,6 +48,7 @@ class FiltrationSpec:
         self.ctx = ctx
         self.gens = tuple(clean[key] for key in sorted(clean))
         self._level_cache = {}
+        self._tables = None
 
     # presentation ---------------------------------------------------------
 
@@ -106,59 +88,70 @@ class FiltrationSpec:
 
     # level ideals -----------------------------------------------------------
 
+    def _level_tables(self):
+        """(w, reach, walked), built once, levels as integers in units of
+        1/grid_denominator: w is the weight table of the one-term generators
+        (gls.monomial_weights), reach[b] the largest level of a product of
+        generators of order <= b, and walked the (polynomial, level, order)
+        of the others, by ascending level, all truncated at D.  Generators
+        that vanish at D, or units, read at level 0 only, are left out."""
+        if self._tables is None:
+            D, delta = self.ctx.D, self.grid_denominator
+            mons, walked, reach = [], [], [0] * (D + 1)
+            for f, lvl in self.gens:
+                p, lvl, o = f.truncate(D), int(lvl * delta), f.order()
+                if not 0 < o <= D:
+                    continue
+                if len(p.terms) == 1:
+                    mons.append((next(iter(p.terms)), lvl))
+                else:
+                    walked.append((p, lvl, o))
+                for b in range(o, D + 1):
+                    reach[b] = max(reach[b], reach[b - o] + lvl)
+            self._tables = monomial_weights(mons, self.ctx), reach, walked
+        return self._tables
+
     def _minimal_products(self, a: Fraction):
-        """The minimal generator products reaching level a: those that fall
-        short of it once any one factor is removed.
+        """(P, s, m) triples whose rows P X^A with a - s <= w(A) < a - s + m
+        span I_a, w the monomial weight table.  P is a product of the
+        generators with two or more terms, s its level and m its least
+        factor level (inf for P = 1), in units of 1/grid_denominator.
 
-        Generators are walked by ascending level, so the first factor of a
-        branch has the least level, and a product is minimal exactly when
-        dropping that factor leaves it below a.  A branch stops before a
-        product that is not minimal, as no extension of it is, or whose
-        order exceeds D (over a field the orders of factors add up, so it
-        vanishes in the quotient).  Levels are walked as integers in units
-        of 1/grid_denominator.
+        The walk takes generators by ascending level, so each product comes
+        once and its first factor is the least.  It lists 1 when
+        reach[D] >= a.  A product below a, of order o <= D with
+        s + reach[D - o] >= a, is listed and extended; one at or above a is
+        listed when it is minimal, s - m < a.
 
-        A branch is entered only when some completion of it is minimal.  The
-        table fits[i][b] (see _level_fits) holds the levels of the products
-        of generators i, i+1, ... of order <= b.  A branch at generator i
-        with level below a, order o and least factor level m completes to a
-        minimal product exactly when one of those products, of order at most
-        D - o, lands its level in [a, a + m): the first prefix of that
-        completion to reach a is then minimal too, as its level lies in the
-        same window.  So every product built divides one that is returned.
+        Exact, by induction on the factors: a row P X^A with
+        w(A) >= a - s + m is f P' X^A with f the least factor, and P' is
+        listed at level s - m.  A product Q of order <= D at level >= a is
+        P M, P walked and M monomial: either Q is a multiple of a listed
+        minimal product, or P is listed below a and M = c X^E with
+        w(E) >= a - s.  reach cuts only branches with no such completion.
+        A unit generator makes every level the whole ring, which its powers
+        reach at order 0, so then 1 alone is listed, at level a.
         """
         D = self.ctx.D
-        delta = self.grid_denominator
-        a = math.ceil(Fraction(a) * delta)
+        a = math.ceil(Fraction(a) * self.grid_denominator)
         one = Poly.one(self.ctx.field, self.ctx.nvars)
-        if a <= 0:
-            return [one]
-        data = [(f.truncate(D), int(lvl * delta), f.order()) for f, lvl in self.gens]
-        fits = _level_fits(data, D, a + max((lvl for _, lvl, _ in data), default=0))
+        if a <= 0 or self.trivial_full:
+            return [(one, max(a, 0), math.inf)]
+        _, reach, walked = self._level_tables()
         out = []
 
         def walk(i, prod, level, order, least):
-            if i >= len(data) or least and not (
-                    fits[i][D - order] >> (a - level) & ((1 << least) - 1)):
-                return
-            walk(i + 1, prod, level, order, least)
-            f, lvl, ordf = data[i]
-            least = least or lvl
-            window = (1 << least) - 1
-            while level < a:
-                order += ordf
-                level += lvl
-                if order > D or level - least >= a:
-                    break
-                if level < a and not fits[i][D - order] >> (a - level) & window:
-                    break
-                prod = prod.mul_trunc(f, D)
-                if level >= a:
-                    out.append(prod)
-                else:
-                    walk(i + 1, prod, level, order, least)
+            out.append((prod, level, least))
+            for j in range(i, len(walked)):
+                f, lvl, ordf = walked[j]
+                s, o, m = level + lvl, order + ordf, min(least, lvl)
+                if o <= D and a <= s < a + m:
+                    out.append((prod.mul_trunc(f, D), s, m))
+                elif o <= D and s < a <= s + reach[D - o]:
+                    walk(j, prod.mul_trunc(f, D), s, o, m)
 
-        walk(0, one, 0, 0, 0)
+        if reach[D] >= a:
+            walk(0, one, 0, 0, math.inf)
         return out
 
     def ideal_at_level(self, a) -> GradedSubspace:
@@ -170,7 +163,9 @@ class FiltrationSpec:
         hit = self._level_cache.get(key)
         if hit is None:
             prods = self._minimal_products(Fraction(key, delta))
-            hit = ideal_image(prods, self.ctx)
+            w = self._level_tables()[0]
+            cols = [((key - s <= w) & (w < key - s + m)).nonzero()[0] for _, s, m in prods]
+            hit = ideal_image([P for P, _, _ in prods], self.ctx, cols)
             self._level_cache[key] = hit
         return hit
 

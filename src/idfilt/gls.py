@@ -16,24 +16,21 @@ Pivot choice is always the leftmost (graded-lex smallest) column, so every
 basis is the canonical RREF of its row space and outputs are deterministic.
 An ideal of the truncated ring needs no type of its own: its image is the
 subspace it spans, closed under multiplication by the variables, and the
-canonical basis describes it completely.  The multipliers X^A with
-low <= |A| <= k are one column range, so multiples(g, ctx, low) gives each
-term c X^e of g as coordinates through the cached shift map of X^e (a
-Coords: rows, columns, values), and ideal_image returns the GradedSubspace
-that the generators' multiples span.  A shift map is array arithmetic, no
+canonical basis describes it completely.  multiples(g, ctx, cols) gives
+the rows X^A g for the multipliers X^A among an ascending column array:
+each term c X^e of g goes through the cached shift map of X^e (a Coords:
+rows, columns, values), and ideal_image returns the GradedSubspace that
+the generators' multiples span.  A shift map is array arithmetic, no
 lookup per monomial: the graded-lex rank of X^B is a sum of binomial
 coefficients of the suffix sums B_i + ... + B_(d-1), and those of A + e
-are those of A shifted by those of e.  ideal_image splits the generators
-by term count.  The multiples of a one-term generator c X^e are the unit
-vectors of the columns X^(A+e), so all of them are one boolean mask over
-the columns, marked through the shift maps; scalar twins and monomial
-multiples of marked exponents add nothing to it, and it joins the stack
-as unit rows.  Of the other generators, one that is a monomial multiple
-c X^E q of a kept generator q adds no row outside the span of the others,
-so it is dropped before its multiples are built.  The span, and so the
-canonical basis, is the same.  On saturated level ideals most minimal
-generator products are monomials, and most others such multiples (GF(3),
-d=3, D=12, level 3: 137 minimal products and 9,024 rows become 582 rows).
+are those of A shifted by those of e.  The multiples of a one-term
+generator c X^e are the unit vectors of the columns X^(A+e), so
+ideal_image marks all of them in one boolean mask over the columns, which
+joins the stack as unit rows.  monomial_weights reads a whole family of
+monomial ideals from one table: w(E), the largest level of a product of
+weighted monomials dividing X^E, so that the columns with w >= a span the
+level-a part.  A level ideal is the stack of P X^A over the products P of
+its other generators, with X^A in such a column set (see filtration).
 
 Every basis, like every stack, is a Coords: its nonzero entries, sorted by
 row, then column, as int64 values over a finite field (residues in [0, p)
@@ -80,15 +77,15 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb
-from operator import le
+from operator import itemgetter
 
 import numpy as np
 
 from ._kernels import reduce_mod_p, rref_mod_p
 from ._linalg import reduce_generic, rref_generic
-from .poly import Poly, TruncationContext, mi_sub
+from .poly import Poly, TruncationContext
 
 
 @lru_cache(maxsize=None)
@@ -437,88 +434,73 @@ class GradedSubspace:
         return "\n".join(poly_str(f) for f in self.basis_polys())
 
 
-def multiples(g: Poly, ctx: TruncationContext, low: int = 0) -> Coords:
-    """The rows X^A g for low <= |A| <= D - ord(g), in coordinates: each term
-    c X^e of g puts c in row A at the column of X^(A+e), for every A with
-    |A + e| <= D (no rows when g vanishes at truncation D)."""
+def multiples(g: Poly, ctx: TruncationContext, cols) -> Coords:
+    """The rows X^A g for the columns A of the ascending array cols with
+    |A| + ord(g) <= D, in coordinates: each term c X^e of g puts c in row j
+    at the column of X^(A+e) for A = cols[j], when |A + e| <= D.  Those A
+    are a prefix of cols, since columns ascend by degree (no rows when g
+    vanishes at truncation D)."""
     _, _, degree_of = monomial_basis(ctx.nvars, ctx.D)
-    start = bisect_left(degree_of, low)
-    stop = max(start, bisect_right(degree_of, ctx.D - g.order()))
-    cols = [_shift_map(ctx.nvars, ctx.D, e)[start:stop] for e in g.terms]
-    sizes = [len(k) for k in cols]
+    maps = [_shift_map(ctx.nvars, ctx.D, e) for e in g.terms]
+    parts = [m[cols[:cols.searchsorted(len(m))]] for m in maps]
+    sizes = [len(k) for k in parts]
     vals = np.array(list(g.terms.values()), dtype=np.int64 if ctx.field.char else object)
     none = np.empty(0, dtype=np.intp)
     return Coords(np.concatenate([np.arange(n) for n in sizes] + [none]),
-                  np.concatenate(cols + [none]), np.repeat(vals, sizes),
-                  (stop - start, len(degree_of)))
+                  np.concatenate(parts + [none]), np.repeat(vals, sizes),
+                  (int(cols.searchsorted(bisect_right(degree_of, ctx.D - g.order()))),
+                   len(degree_of)))
 
 
-def _pruned(gens, ctx: TruncationContext):
-    """The truncations of gens minus the monomial multiples of others.
+def monomial_weights(mons, ctx: TruncationContext):
+    """w over the N columns, int64: w[E] is the largest level of a product of
+    the monomials X^e of the (exponent, integer level) pairs mons, each
+    repeated freely, that divides X^E (0 for the empty product).
 
-    Write a truncated generator p = c X^E P with X^E the monomial gcd of its
-    terms and P monic (its smallest term, by exponent tuple, has coefficient
-    1).  Two generators with the same P differ by a monomial factor exactly
-    when one content E divides the other, so per P only the contents minimal
-    under division are kept, walking the generators by ascending order,
-    which within one P is ascending |E|.  Duplicates and scalar multiples
-    fall out too.  One sort of p's exponent tuples gives E (their
-    componentwise minimum, or the one tuple of a monomial), the smallest
-    term, whose coefficient P is divided by, and the key P, its terms in
-    that order.
-
-    Every dropped generator's multiples X^A p with |A| + ord(p) <= D are
-    multiples, within the same bound, of the kept ones, so the generated
-    ideal's image, and its canonical basis, are unchanged.
-    """
-    mul, inv = ctx.field.mul, ctx.field.inv
-    contents = {}  # monic primitive part -> minimal contents kept so far
-    kept = []
-    for p in sorted((g.truncate(ctx.D) for g in gens), key=Poly.order):
-        if p.is_zero():
-            continue
-        terms = p.terms
-        exps = sorted(terms)
-        E = tuple(map(min, *exps)) if len(exps) > 1 else exps[0]
-        scale = inv(terms[exps[0]])
-        P = tuple((mi_sub(e, E), mul(scale, terms[e])) for e in exps)
-        seen = contents.setdefault(P, [])
-        if any(all(map(le, K, E)) for K in seen):
-            continue
-        seen.append(E)
-        kept.append(p)
-    return kept
+    An unbounded knapsack over the exponent lattice.  Each shift map sends
+    a column A to A + e, of higher degree when e has positive degree, so
+    the columns of degree t are final once every lower degree has pushed
+    w + level along the maps: one maximum per degree over the (source,
+    target, level) triples of all maps, sorted by source."""
+    _, _, degree_of = monomial_basis(ctx.nvars, ctx.D)
+    w = np.zeros(len(degree_of), dtype=np.int64)
+    top = dict(sorted(mons, key=itemgetter(1)))  # each exponent at its largest level
+    if not top:
+        return w
+    maps = [_shift_map(ctx.nvars, ctx.D, e) for e in top]
+    src = np.concatenate([np.arange(len(m)) for m in maps])
+    order = src.argsort(kind="stable")
+    src, dst = src[order], np.concatenate(maps)[order]
+    lvl = np.repeat(list(top.values()), [len(m) for m in maps])[order]
+    bounds = src.searchsorted([bisect_left(degree_of, t) for t in range(ctx.D + 2)])
+    for lo, hi in zip(bounds, bounds[1:]):
+        np.maximum.at(w, dst[lo:hi], w[src[lo:hi]] + lvl[lo:hi])
+    return w
 
 
-def ideal_image(gens, ctx: TruncationContext) -> GradedSubspace:
-    """Span of {X^A g : |A| + ord(g) <= D}: the image of the ideal (gens).
+def ideal_image(gens, ctx: TruncationContext, cols=None) -> GradedSubspace:
+    """Span of the rows X^A g for the generators g and every X^A with
+    |A| + ord(g) <= D: the image of the ideal (gens).  With cols, one
+    ascending column array per generator, only the X^A among its columns.
 
-    The multiples of the one-term generators c X^e are the unit vectors of
-    the columns X^(A+e), so they are one set of columns: a mask over the N
-    columns, marked through the shift maps with the exponents walked by
-    column, where an exponent whose own column is already marked is a
-    multiple of one marked before and is skipped.  The mask joins the stack
-    as its unit rows, which the presolve takes in its first round.  The
-    other generators stack their multiples only when _pruned keeps them: it
-    drops monomial multiples of kept generators, which add no row outside
-    the span of the rest, and no monomial is a monomial multiple of a
-    generator with more terms.  So the span, and the canonical basis, is
-    that of the full stack."""
-    mons, index, _ = monomial_basis(ctx.nvars, ctx.D)
-    ones, others = set(), []
-    for g in gens:
+    The rows of a one-term generator c X^e are the unit vectors of the
+    columns X^(A+e), so all of them are one boolean mask over the N columns,
+    marked through the shift maps.  The mask joins the stack as its unit
+    rows, which the presolve takes in its first round; the other generators
+    stack their multiples, if they have any multipliers."""
+    N = len(monomial_basis(ctx.nvars, ctx.D)[0])
+    every = np.arange(N)
+    mask = np.zeros(N, dtype=bool)
+    blocks = []
+    for g, A in zip(gens, repeat(every) if cols is None else cols):
         p = g.truncate(ctx.D)
         if len(p.terms) == 1:
-            ones.add(index[next(iter(p.terms))])
-        elif p.terms:
-            others.append(p)
-    mask = np.zeros(len(mons), dtype=bool)
-    for c in sorted(ones):
-        if not mask[c]:
-            mask[_shift_map(ctx.nvars, ctx.D, mons[c])] = True
-    blocks = [_units(ctx, mask.nonzero()[0]).basis]
-    blocks += [multiples(g, ctx) for g in _pruned(others, ctx)]
-    return GradedSubspace.from_vectors(ctx, Coords.stack(blocks))
+            m = _shift_map(ctx.nvars, ctx.D, next(iter(p.terms)))
+            mask[m[A[:A.searchsorted(len(m))]]] = True
+        elif p.terms and A.size:
+            blocks.append(multiples(p, ctx, A))
+    units = _units(ctx, mask.nonzero()[0]).basis
+    return GradedSubspace.from_vectors(ctx, Coords.stack([units] + blocks))
 
 
 def _units(ctx: TruncationContext, cols) -> GradedSubspace:

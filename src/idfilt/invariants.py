@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .diffop import DiffOp
 from .filtration import FiltrationSpec
-from .gls import Coords, GradedSubspace, monomial_basis, multiples, rref
+from .gls import Coords, GradedSubspace, monomial_basis, multiples, power_m, rref
 from .leading import linear_coefficients
 from .poly import Poly, TruncationContext
 from .values import SatValue, sat_min
@@ -392,7 +392,7 @@ def supporting3_check(H: HSystem, r: int) -> bool:
     if r < 0 or r > ctx.D:
         raise ValueError("r out of range")
     lhs = H.ideal_space().meet_power_m(r)
-    blocks = [multiples(h, ctx, max(0, r - H.level(l)))
+    blocks = [multiples(h, ctx, power_m(r - H.level(l), ctx).basis.cols)
               for l, (h, _) in enumerate(H.entries)] or [Coords.of_polys([], ctx)]
     return lhs.equals(GradedSubspace.from_vectors(ctx, Coords.stack(blocks)))
 

@@ -332,7 +332,8 @@ class PolyParseError(ValueError):
     pass
 
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+|\^|\*|\+|-)")
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # a variable name
+_TOKEN = re.compile(rf"\s*({IDENTIFIER.pattern}|\d+|\^|\*|\+|-)")
 
 
 def parse_poly(text: str, names, field: Field) -> Poly:

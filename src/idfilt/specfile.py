@@ -12,6 +12,8 @@ Line-oriented, # comments, one directive per line:
     radical_grid: 64        (optional; default-mu grid step)
     emax: 3                 (optional)
 
+Variable names are distinct identifiers ([A-Za-z_][A-Za-z_0-9]*, the names
+the polynomial grammar reads), and boundary names distinct declared ones.
 Parsing reports the first error with its line number and a stable code.
 """
 
@@ -22,7 +24,7 @@ from fractions import Fraction
 from math import comb
 
 from .fields import Field, FieldError, field_from_spec
-from .poly import PolyParseError, TruncationContext, parse_poly, poly_str
+from .poly import IDENTIFIER, PolyParseError, TruncationContext, parse_poly, poly_str
 
 MAX_VARS = 6
 MAX_TRUNC = 16
@@ -103,6 +105,9 @@ def parse_spec(text: str) -> SpecFile:
             names = [v.strip() for v in val.split(",") if v.strip()]
             if not names or len(set(names)) != len(names):
                 raise SpecError("E_VAR", lineno, "need distinct variable names")
+            for v in names:
+                if not IDENTIFIER.fullmatch(v):
+                    raise SpecError("E_VAR", lineno, f"variable name {v!r} is not an identifier")
             if len(names) > MAX_VARS:
                 raise SpecError("E_VAR", lineno,
                                 f"at most {MAX_VARS} variables are supported")
@@ -113,6 +118,8 @@ def parse_spec(text: str) -> SpecFile:
                 raise SpecError("E_TRUNC", lineno, f"bad truncation degree {val!r}")
         elif key == "boundary":
             boundary = [v.strip() for v in val.split(",") if v.strip()]
+            if len(set(boundary)) != len(boundary):
+                raise SpecError("E_VAR", lineno, "boundary variables repeat")
         elif key in ("gen", "candidate"):
             if "@" not in val:
                 raise SpecError("E_GEN", lineno, "expected '<poly> @ <level>'")

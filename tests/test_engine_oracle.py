@@ -199,18 +199,20 @@ def test_meet_power_m(case):
 
 
 @ORACLE
-@given(two_sets())
-def test_multiples(case):
+@given(two_sets(), st.data())
+def test_multiples(case, data):
     ctx, gens, _ = case
     F, D = ctx.field, ctx.D
     mons = monomial_basis(ctx.nvars, D)[0]
     # a zero polynomial, and one with terms beyond the truncation degree
     extra = [Poly.zero(F, ctx.nvars)] + [g.shift((D,) * ctx.nvars) + g for g in gens[:1]]
+    # the multipliers of degree >= low, and a drawn set of columns
+    drawn = sorted(data.draw(st.sets(st.integers(0, len(mons) - 1))))
     for g in gens + extra:
-        for low in range(D + 2):
-            want = [as_vec(g.shift(A, D), ctx) for A in mons
-                    if low <= sum(A) <= D - g.order()]
-            got = gls.multiples(g, ctx, low)
+        for A in [gls.power_m(low, ctx).pivots for low in range(D + 2)] + [drawn]:
+            want = [as_vec(g.shift(mons[c], D), ctx) for c in A
+                    if sum(mons[c]) <= D - g.order()]
+            got = gls.multiples(g, ctx, np.array(A, dtype=np.intp))
             assert got.shape == (len(want), len(mons)) and len(got) == len(want)
             assert got.dense(F).tolist() == want
 
@@ -498,7 +500,8 @@ def test_qq_presolve_tests_each_nonzero_cell_once(monkeypatch):
     S = gls.ideal_image(gens, ctx)
     monkeypatch.undo()
     assert before_kernel == [0]
-    stack = gls.Coords.stack([gls.multiples(g, ctx) for g in gens]).dense(QQ)
+    every = np.arange(len(monomial_basis(ctx.nvars, ctx.D)[0]))
+    stack = gls.Coords.stack([gls.multiples(g, ctx, every) for g in gens]).dense(QQ)
     assert engine_basis(S) == gauss_jordan(QQ, stack.tolist())
 
 

@@ -1,12 +1,14 @@
+import bisect
 import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from idfilt.filtration import FiltrationSpec, is_integral_witness
-from idfilt.gls import GradedSubspace, ideal_image, monomial_basis, power_m
+from idfilt.gls import Coords, GradedSubspace, ideal_image, monomial_basis, multiples, power_m
 from idfilt.poly import Poly, poly_str
 from tests.conftest import ctx_of, mk
 
@@ -152,97 +154,118 @@ def test_mu_P_brute_force_cross_check(rng, F2):
     assert mu == min(Fraction(2, 2), Fraction(2, 1))
 
 
-def test_level_ideal_vs_unpruned_enumeration(rng, F3):
-    # the minimal-antichain product search must match the full enumeration
-    from idfilt.gls import ideal_image
-    from idfilt.verify import rand_spec
-    for _ in range(12):
-        spec = rand_spec(rng, F3, 2, 6, 2)
-        ctx = spec.ctx
-        delta = spec.grid_denominator
-        for k in (1, 4, 9):
-            a = Fraction(k, delta)
-            data = [(f.truncate(ctx.D), lvl, int(f.order()))
-                    for f, lvl in spec.gens]
-            maxn = [ctx.D // max(o, 1) for _, _, o in data]
-            prods = []
-            for counts in itertools.product(*[range(n + 1) for n in maxn]):
-                if sum(c * lvl for c, (_, lvl, _) in zip(counts, data)) < a:
-                    continue
-                if sum(c * o for c, (_, _, o) in zip(counts, data)) > ctx.D:
-                    continue
-                prod = Poly.one(F3, 2)
-                for c, (g, _, _) in zip(counts, data):
-                    for _ in range(c):
-                        prod = prod.mul_trunc(g, ctx.D)
-                if not prod.is_zero():
-                    prods.append(prod)
-            assert spec.ideal_at_level(a).equals(
-                ideal_image(prods, ctx))
+def every_column(ctx):
+    return np.arange(len(monomial_basis(ctx.nvars, ctx.D)[0]))
 
 
-def unpruned_walk(spec, a):
-    """The walk of _minimal_products without its order-budget table: it may
-    enter branches that return nothing, but returns the same list."""
-    D = spec.ctx.D
-    delta = spec.grid_denominator
-    a = math.ceil(Fraction(a) * delta)
-    one = Poly.one(spec.ctx.field, spec.ctx.nvars)
-    if a <= 0:
-        return [one]
-    data = [(f.truncate(D), int(lvl * delta), f.order()) for f, lvl in spec.gens]
-    out = []
-
-    def walk(i, prod, level, order, least):
-        if i >= len(data):
-            return
-        walk(i + 1, prod, level, order, least)
-        f, lvl, ordf = data[i]
-        least = least or lvl
-        while level < a:
-            order += ordf
-            level += lvl
-            if order > D or level - least >= a:
-                break
-            prod = prod.mul_trunc(f, D)
-            if level >= a:
-                out.append(prod)
-            else:
-                walk(i + 1, prod, level, order, least)
-
-    walk(0, one, 0, 0, 0)
-    return out
+def unpruned_span(polys, ctx):
+    """The span of every X^A p, each p's multiples stacked as they come: no
+    column mask and no weight table."""
+    blocks = [multiples(p, ctx, every_column(ctx)) for p in polys]
+    return (GradedSubspace.from_vectors(ctx, Coords.stack(blocks)) if blocks
+            else GradedSubspace.zero(ctx))
 
 
-def brute_force_minimal(spec, a):
-    """Every exponent vector of order <= D that reaches the level a and falls
-    short of it once any one used generator is removed, with its product.
-    No minimal vector repeats a generator of level l more than ceil(a / l)
-    times, which bounds the search also for a unit generator."""
+def enumerated_products(spec, a):
+    """Every product of the generators, each repeated freely, of order <= D
+    and level >= a, by brute force over count vectors.  A unit never needs
+    more than ceil(a / level) copies."""
     ctx = spec.ctx
     orders = [f.order() for f, _ in spec.gens]
     levels = [lvl for _, lvl in spec.gens]
-    ranges = [range(min(ctx.D // o if o else math.inf, math.ceil(a / lvl)) + 1)
+    ranges = [range((ctx.D // o if o else max(0, math.ceil(a / lvl))) + 1)
               for o, lvl in zip(orders, levels)]
-    found = []
+    prods = []
     for counts in itertools.product(*ranges):
-        level = sum(c * lvl for c, lvl in zip(counts, levels))
-        if (level < a or sum(c * o for c, o in zip(counts, orders)) > ctx.D
-                or any(c and level - lvl >= a for c, lvl in zip(counts, levels))):
+        if (sum(c * lvl for c, lvl in zip(counts, levels)) < a
+                or sum(c * o for c, o in zip(counts, orders)) > ctx.D):
             continue
         prod = Poly.one(ctx.field, ctx.nvars)
         for c, (g, _) in zip(counts, spec.gens):
             for _ in range(c):
                 prod = prod.mul_trunc(g, ctx.D)
-        found.append((counts, prod))
+        prods.append(prod)
+    return prods
+
+
+def level_ideal_cases(F, rnd):
+    """Seeded filtrations in two variables: mixed generators, no monomial
+    generator, only monomial generators, and mixed with a unit.  Levels are
+    integers and halves; the monomials come with a scalar twin at another
+    level and a generator that truncates to a monomial."""
+    levels = [Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(5, 2)]
+
+    def scalar():
+        if F.char:
+            return rnd.randrange(1, F.p ** F.m)
+        return Fraction(rnd.choice([-3, -1, 1, 2]), rnd.choice([1, 2]))
+
+    for kind in ("mixed", "no monomial", "only monomials", "unit") * 3:
+        ctx = ctx_of(F, 2, rnd.randint(3, 6))
+        mons = monomial_basis(2, ctx.D)[0][1:]
+        gens = []
+        if kind != "only monomials":
+            for _ in range(rnd.randint(1, 2)):
+                exps = rnd.sample(mons, rnd.randint(2, 3))
+                gens.append((Poly(F, 2, {e: scalar() for e in exps}), rnd.choice(levels)))
+        if kind != "no monomial":
+            m = Poly.monomial(F, 2, rnd.choice(mons), scalar())
+            gens += [(m, rnd.choice(levels)), (m.scale(scalar()), rnd.choice(levels))]
+            gens.append((Poly.monomial(F, 2, rnd.choice(mons), scalar())
+                         + Poly.monomial(F, 2, (ctx.D + 1, 1)), rnd.choice(levels)))
+        if kind == "unit":
+            gens.append((mk(F, "1 + x"), rnd.choice(levels)))
+        yield FiltrationSpec(ctx, gens)
+
+
+def test_level_ideal_vs_unpruned_enumeration(F2, F3, F9, QQ):
+    # the weight table and the walk of the other generators span what the
+    # multiples of every product reaching the level span
+    for F in (F2, F3, F9, QQ):
+        rnd = random.Random(f"enumeration:{F!r}")
+        for spec in level_ideal_cases(F, rnd):
+            for a in (0, Fraction(1, 2), 1, Fraction(7, 5), 2, 3, Fraction(9, 2)):
+                want = unpruned_span(enumerated_products(spec, a), spec.ctx)
+                assert spec.ideal_at_level(a).equals(want), (spec, a)
+
+
+def walked_generators(spec):
+    """The generators _minimal_products walks: two or more terms at D."""
+    D = spec.ctx.D
+    return [(f.truncate(D), lvl) for f, lvl in spec.gens
+            if 0 < f.order() <= D and len(f.truncate(D).terms) > 1]
+
+
+def brute_force_triples(spec, a):
+    """The (product, level, least factor level) triples _minimal_products
+    lists at a, levels in grid units, from their definition over count
+    vectors of the walked generators: order <= D, and either level >= a
+    with every factor needed to reach it (a minimal vector), or level
+    below a and some product of all non-unit generators, of order at most
+    D minus the vector's, taking it to a."""
+    ctx, delta = spec.ctx, spec.grid_denominator
+    a = math.ceil(Fraction(a) * delta)
+    walked = walked_generators(spec)
+    every = [(int(lvl * delta), f.order()) for f, lvl in spec.gens if 0 < f.order() <= ctx.D]
+    reach = [max(sum(c * lvl for c, (lvl, _) in zip(counts, every)) for counts in
+                 itertools.product(*[range(b // o + 1) for _, o in every])
+                 if sum(c * o for c, (_, o) in zip(counts, every)) <= b)
+             for b in range(ctx.D + 1)]
+    found = []
+    for counts in itertools.product(*[range(ctx.D // f.order() + 1) for f, _ in walked]):
+        level = sum(c * int(lvl * delta) for c, (_, lvl) in zip(counts, walked))
+        order = sum(c * f.order() for c, (f, _) in zip(counts, walked))
+        least = min((int(lvl * delta) for c, (_, lvl) in zip(counts, walked) if c),
+                    default=math.inf)
+        if order > ctx.D:
+            continue
+        if a <= level < a + least or level < a <= level + reach[ctx.D - order]:
+            prod = Poly.one(ctx.field, ctx.nvars)
+            for c, (g, _) in zip(counts, walked):
+                for _ in range(c):
+                    prod = prod.mul_trunc(g, ctx.D)
+            found.append((prod, level, least))
     return found
-
-
-def walk_prefixes(vectors):
-    """The walk's nodes on the way to the given exponent vectors: each
-    (c_0, ..., c_(i-1), k, 0, ...) with 1 <= k <= c_i."""
-    return {c[:i] + (k,) + (0,) * (len(c) - i - 1)
-            for c in vectors for i, ci in enumerate(c) for k in range(1, ci + 1)}
 
 
 def counted_minimal_products(spec, a, monkeypatch):
@@ -260,10 +283,15 @@ def counted_minimal_products(spec, a, monkeypatch):
     return got, len(calls)
 
 
+def triple_keys(triples):
+    return sorted((p.sort_key(), s, m) for p, s, m in triples)
+
+
 @pytest.mark.parametrize("name", ["F2", "F3", "F9", "QQ"])
 def test_minimal_products_are_the_minimal_exponent_vectors(name, request, rng, monkeypatch):
-    # the walk returns exactly the brute-force minimal products, and every
-    # product it builds is a prefix of one of them: no wasted mul_trunc
+    # the products at or above a are the minimal exponent vectors of the
+    # walked generators, the ones below a those that can still reach it, and
+    # each product but the empty one costs one mul_trunc: none is wasted
     from idfilt.verify import rand_spec
     F = request.getfixturevalue(name)
     for _ in range(8):
@@ -271,51 +299,84 @@ def test_minimal_products_are_the_minimal_exponent_vectors(name, request, rng, m
         delta = spec.grid_denominator
         for a in (Fraction(1, delta), Fraction(4, delta) - Fraction(1, 7), Fraction(9, delta),
                   Fraction(3)):
-            want = brute_force_minimal(spec, a)
             got, built = counted_minimal_products(spec, a, monkeypatch)
-            assert sorted(p.sort_key() for p in got) == sorted(p.sort_key() for _, p in want)
-            assert built == len(walk_prefixes([c for c, _ in want]))
+            assert triple_keys(got) == triple_keys(brute_force_triples(spec, a))
+            assert built == max(0, len(got) - 1)
+
+
+def unpruned_walk(spec, a):
+    """The walk of _minimal_products without its reach cut, each triple kept
+    only when it adds a row: when some multiplier X^A of degree <= D - order
+    has a - s <= w(A) < a - s + m."""
+    D, delta = spec.ctx.D, spec.grid_denominator
+    a = math.ceil(Fraction(a) * delta)
+    degree_of = monomial_basis(spec.ctx.nvars, D)[2]
+    w = spec._level_tables()[0]
+    walked = [(f, int(lvl * delta), f.order()) for f, lvl in walked_generators(spec)]
+    out = []
+
+    def walk(i, prod, level, order, least):
+        k = bisect.bisect_right(degree_of, D - order)
+        if ((a - level <= w[:k]) & (w[:k] < a - level + least)).any():
+            out.append((prod, level, least))
+        if level >= a:
+            return
+        for j in range(i, len(walked)):
+            f, lvl, ordf = walked[j]
+            if order + ordf <= D and level + lvl - min(least, lvl) < a:
+                walk(j, prod.mul_trunc(f, D), level + lvl, order + ordf, min(least, lvl))
+
+    walk(0, Poly.one(spec.ctx.field, spec.ctx.nvars), 0, 0, math.inf)
+    return out
+
+
+def with_rows(spec, a, triples):
+    keep = unpruned_walk(spec, a)
+    return [t for t in triples if t in keep]
 
 
 @pytest.mark.parametrize("name", ["F2", "F3", "F9", "QQ"])
 def test_minimal_products_keep_the_unpruned_walk_order(name, request, rng):
-    # pruning skips only branches that return nothing: same list, same order
+    # the reach cut skips only branches that add no row: the same triples
+    # that add rows, in the same order
     from idfilt.verify import rand_spec
     F = request.getfixturevalue(name)
     for _ in range(10):
         spec = rand_spec(rng, F, 3, rng.choice([4, 6, 8]), rng.choice([1, 2, 3, 4]))
         for k in (1, 2, 3, 5, 8, 13, 21):
             a = Fraction(k, spec.grid_denominator)
-            assert spec._minimal_products(a) == unpruned_walk(spec, a)
+            assert with_rows(spec, a, spec._minimal_products(a)) == unpruned_walk(spec, a)
 
 
 def test_minimal_products_edge_cases(F3, monkeypatch):
     ctx = ctx_of(F3, 2, 6)
+    one, inf = Poly.one(F3, 2), math.inf
     cases = [
-        # no generators at a positive level: no product reaches it
-        (FiltrationSpec(ctx, []), [Fraction(1), Fraction(7, 2)]),
-        # a unit generator, which ideal_at_level never walks at a > 0: the
-        # order-0 repeats are bounded by the level alone
+        # no product reaches a level above every generator's reach
+        (FiltrationSpec(ctx, []), Fraction(1), []),
+        # a level <= 0: the empty product alone, with every column
+        (FiltrationSpec(ctx, []), Fraction(0), [(one, 0, inf)]),
+        (FiltrationSpec(ctx, [(mk(F3, "x + y^2"), 1)]), Fraction(-3, 2), [(one, 0, inf)]),
+        # a unit reaches every level with its powers, which span what 1 spans
         (FiltrationSpec(ctx, [(mk(F3, "1 + x"), Fraction(1, 2)), (mk(F3, "y^2"), 1)]),
-         [Fraction(1, 2), Fraction(2), Fraction(7, 2)]),
-        (FiltrationSpec(ctx, [(mk(F3, "2"), 3)]), [Fraction(1), Fraction(10)]),
-        # a generator of order beyond D, beside one that fits
-        (FiltrationSpec(ctx, [(mk(F3, "x^7 + y^9"), Fraction(1, 3)), (mk(F3, "x*y"), 2)]),
-         [Fraction(1, 3), Fraction(2), Fraction(5)]),
-        (FiltrationSpec(ctx, [(mk(F3, "y^8"), 1)]), [Fraction(1)]),
-        # levels between grid points
-        (FiltrationSpec(ctx_of(F3, 2, 8), [(mk(F3, "x"), Fraction(1, 2)),
-                                           (mk(F3, "y^2"), Fraction(2, 3))]),
-         [Fraction(5, 4), Fraction(4, 3), Fraction(7, 6), Fraction(17, 5)]),
+         Fraction(7, 2), [(one, 7, inf)]),
+        (FiltrationSpec(ctx, [(mk(F3, "2"), 3)]), Fraction(10), [(one, 10, inf)]),
+        # only monomial generators: nothing is walked, the table holds them
+        (FiltrationSpec(ctx, [(mk(F3, "x"), 1), (mk(F3, "2*y^2"), 1)]), Fraction(3),
+         [(one, 0, inf)]),
+        # a generator that vanishes at D is left out, and x^7 + y^2, which
+        # truncates to the monomial y^2, goes to the weight table
+        (FiltrationSpec(ctx, [(mk(F3, "x^7 + y^9"), Fraction(1, 3)),
+                              (mk(F3, "x^7 + y^2"), 1)]), Fraction(2), [(one, 0, inf)]),
+        # x + y^2 reaches at most level 2 within order 2: the cut lists
+        # nothing, not even the empty product
+        (FiltrationSpec(ctx_of(F3, 2, 2), [(mk(F3, "x + y^2"), 1)]), Fraction(3), []),
     ]
-    for spec, levels in cases:
-        for a in levels:
-            want = brute_force_minimal(spec, a)
-            got, built = counted_minimal_products(spec, a, monkeypatch)
-            assert sorted(p.sort_key() for p in got) == sorted(p.sort_key() for _, p in want)
-            assert got == unpruned_walk(spec, a)
-            assert built == len(walk_prefixes([c for c, _ in want]))
-    assert FiltrationSpec(ctx, [])._minimal_products(Fraction(1)) == []
+    for spec, a, want in cases:
+        got, built = counted_minimal_products(spec, a, monkeypatch)
+        assert (got, built) == (want, 0), (spec, a)
+        want_span = unpruned_span(enumerated_products(spec, a), spec.ctx)
+        assert spec.ideal_at_level(a).equals(want_span), (spec, a)
 
 
 def test_integral_witness_examples(QQ):
@@ -332,17 +393,22 @@ def test_integral_witness_examples(QQ):
 
 
 def test_minimal_products_between_grid_points(F3):
-    # the walk counts levels in grid units, rounding a target up to the grid
+    # the walk counts levels in grid units (here sixths), rounding a target
+    # up to the grid
     ctx = ctx_of(F3, 2, 8)
-    F = FiltrationSpec(ctx, [(mk(F3, "x"), Fraction(1, 2)), (mk(F3, "y^2"), Fraction(2, 3))])
-    key = lambda prods: sorted(p.sort_key() for p in prods)
+    F = FiltrationSpec(ctx, [(mk(F3, "x + y^3"), Fraction(1, 2)),
+                             (mk(F3, "y^2 + x^3"), Fraction(2, 3))])
+    key = lambda triples: sorted((poly_str(p), s, m) for p, s, m in triples)
     assert key(F._minimal_products(Fraction(5, 4))) == key(F._minimal_products(Fraction(4, 3)))
-    # the minimal products reaching 7/6: x^3 (3/2), y^4 (4/3) and x*y^2
-    # (7/6); x^2*y^2 (5/3) is not one, since y^2 with one x (7/6) still
-    # reaches the level
-    got = {poly_str(p) for p in F._minimal_products(Fraction(7, 6))}
-    assert got == {"x^3", "y^4", "x*y^2"}
-    assert [poly_str(p) for p in F._minimal_products(0)] == ["1"]
+    # f = x + y^3 (3/6) and g = y^2 + x^3 (4/6) at 7/6: the products below
+    # it are 1, f, f^2 and g, and the minimal ones that reach it f^3, f*g
+    # and g^2; f^2*g (10/6) is not minimal, since f*g (7/6) reaches the level
+    got = [(poly_str(p), s, m) for p, s, m in F._minimal_products(Fraction(7, 6))]
+    f, g = mk(F3, "x + y^3"), mk(F3, "y^2 + x^3")
+    want = [(Poly.one(F3, 2), 0, math.inf), (f, 3, 3), (f.pow(2), 6, 3), (f.pow(3), 9, 3),
+            (f * g, 7, 3), (g, 4, 4), (g.pow(2), 8, 4)]
+    assert got == [(poly_str(p.truncate(8)), s, m) for p, s, m in want]
+    assert [(poly_str(p), s, m) for p, s, m in F._minimal_products(0)] == [("1", 0, math.inf)]
 
 
 def two_key_generators(ctx, gens):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from idfilt import gls, verify
+from idfilt.fields import PrimeField
 from idfilt.gls import Coords, GradedSubspace, ideal_image, monomial_basis, power_m
 from idfilt.poly import Poly, TruncationContext, grlex_key, poly_str
 from tests.conftest import ctx_of, mk
@@ -284,3 +285,31 @@ def test_shift_map_caches_can_be_emptied():
     x = gls._shift_map(3, 4, (1, 0, 0))
     assert x.tolist() == want and len(x) == comb(3 + 3, 3)
     assert x[:10].tolist() == [1, 4, 5, 6, 10, 11, 12, 13, 14, 15]
+
+
+def knapsack_weight(E, mons):
+    """The largest level of a product of the weighted monomials, each
+    repeated freely, that divides X^E: a brute-force recursion."""
+    best = 0
+    for e, lvl in mons:
+        if all(x <= y for x, y in zip(e, E)):
+            best = max(best, lvl + knapsack_weight(tuple(y - x for x, y in zip(e, E)), mons))
+    return best
+
+
+def test_monomial_weights_match_the_brute_force_knapsack():
+    """On seeded lists in d <= 3 variables at D <= 8, with repeated
+    exponents at other levels and a monomial of degree above D, which
+    divides no column."""
+    rnd = random.Random("weights")
+    for _ in range(60):
+        d, D = rnd.randint(1, 3), rnd.randint(1, 8)
+        ctx = ctx_of(PrimeField(3), d, D)
+        mons = monomial_basis(d, D)[0]
+        pairs = [(rnd.choice(mons[1:]), rnd.randint(1, 7)) for _ in range(rnd.randint(1, 4))]
+        pairs.append((pairs[0][0], rnd.randint(1, 7)))
+        pairs.append(((D + 1,) + (0,) * (d - 1), 5))
+        got = gls.monomial_weights(pairs, ctx)
+        assert got.dtype == np.int64
+        assert got.tolist() == [knapsack_weight(E, pairs) for E in mons]
+    assert gls.monomial_weights([], ctx).tolist() == [0] * len(mons)

@@ -1,41 +1,35 @@
-"""ideal_image stacks only a pruned generating set; the span must not move.
+"""Level ideals and ideal_image stack fewer rows; the span must not move.
 
-The pruning (gls._pruned) drops monomial multiples c X^E q of a kept q, and
-the one-term generators become one set of unit columns.  These tests compare ideal_image with the unpruned stack of every generator's
-multiples, check that each dropped generator lies in the span of what was
-kept, and check that no kept generator is a monomial multiple of another.
+ideal_image takes the one-term generators as one set of unit columns, and a
+level ideal takes its monomial generators as one weight table over the
+columns, walking only the products of its other generators.  These tests
+compare both with the plain stack of every generator's multiples, and pin
+the products and rows of a saturated level ideal.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from idfilt import gls
 from idfilt.fields import ExtensionField, PrimeField, RationalField
 from idfilt.filtration import FiltrationSpec
-from idfilt.gls import GradedSubspace, ideal_image, monomial_basis, multiples
-from idfilt.poly import Poly, TruncationContext, poly_str
+from idfilt.gls import ideal_image, monomial_basis
+from idfilt.poly import Poly, TruncationContext
 from idfilt.saturation import RadicalProbeBounds, b_saturate_probe
 from idfilt.specfile import parse_spec
-from tests.conftest import ctx_of, mk
 from tests.test_cli import PINNED_REPORTS
-from tests.test_filtration import counted_minimal_products
+from tests.test_filtration import counted_minimal_products, unpruned_span
 
 FIELDS = [PrimeField(2), PrimeField(3), ExtensionField(3, 2), RationalField()]
 
 PRUNING = settings(max_examples=60, derandomize=True, database=None, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
-
-
-def unpruned(gens, ctx):
-    blocks = [multiples(g, ctx) for g in gens]
-    return (GradedSubspace.from_vectors(ctx, gls.Coords.stack(blocks)) if blocks
-            else GradedSubspace.zero(ctx))
 
 
 def nonzero_scalars(F):
@@ -72,153 +66,84 @@ def generator_lists(draw):
     return ctx, draw(st.permutations(gens))
 
 
-def monomial_multiple(p, q):
-    """Is p = c X^E q for a scalar c and a monomial X^E.  A monomial shift keeps
-    the order of exponent tuples, so the smallest terms must correspond."""
-    F = p.field
-    ep, eq = min(p.terms), min(q.terms)
-    E = tuple(x - y for x, y in zip(ep, eq))
-    if min(E) < 0 or len(p.terms) != len(q.terms):
-        return False
-    c = F.mul(p.terms[ep], F.inv(q.terms[eq]))
-    return q.shift(E).scale(c) == p
-
-
 @PRUNING
 @given(generator_lists())
 def test_pruning_keeps_the_span(case):
     ctx, gens = case
-    assert ideal_image(gens, ctx).equals(unpruned(gens, ctx))
-    kept = gls._pruned(gens, ctx)
-    truncated = [g.truncate(ctx.D) for g in gens]
-    assert all(p in truncated for p in kept)
-    span = unpruned(kept, ctx)
-    for g in truncated:
-        if g not in kept:
-            assert span.contains_subspace(GradedSubspace.from_vectors(ctx, multiples(g, ctx)))
+    assert ideal_image(gens, ctx).equals(unpruned_span(gens, ctx))
 
 
-@PRUNING
-@given(generator_lists())
-def test_kept_generators_are_irredundant(case):
-    ctx, gens = case
-    kept = gls._pruned(gens, ctx)
-    for i, p in enumerate(kept):
-        assert not any(monomial_multiple(p, q) for j, q in enumerate(kept) if j != i)
-
-
-def test_pruning_examples(F3, QQ):
-    for F in (F3, QQ):
-        ctx = ctx_of(F, 2, 6)
-        gens = [mk(F, t) for t in ("x*y^3", "2*y^3", "y^3", "x^2 + y", "x^3 + x*y",
-                                   "x^2*y + y^2", "x*y^3 + y^4", "x^7 + y^5")]
-        # 2*y^3 before its scalar multiple y^3 (equal order keeps list order),
-        # x^3 + x*y = x (x^2 + y), x^2 y + y^2 = y (x^2 + y), and x^7 + y^5
-        # truncates to y^5; x y^3 + y^4 = y^3 (x + y) is no monomial multiple
-        assert [poly_str(p) for p in gls._pruned(gens, ctx)] == [
-            "y + x^2", "2*y^3", "x*y^3 + y^4"]
-
-
-def test_pruning_cuts_the_rows_of_the_saturated_level_ideal(monkeypatch):
-    # the level-3 ideal of this pin's saturation has 137 minimal products,
-    # 9,024 rows, before pruning; ideal_image hands the presolve 582, the
-    # unit rows of the monomial products' columns and the multiples of the
-    # other products that _pruned keeps; the walk that finds them builds
-    # 196 products, each a divisor of one it returns
+def saturated_pin():
+    """The b-saturated filtration of the gf3_d3_D12 pin: eleven generators,
+    one of them, x^3 + y^4 + z^5, with more than one term."""
     spec = parse_spec(PINNED_REPORTS["gf3_d3_D12"][0])
     opts = spec.options
     F0 = FiltrationSpec(spec.context(), spec.gens)
     Fb, _ = b_saturate_probe(F0, RadicalProbeBounds(opts.radical_n_max, opts.radical_grid),
                              opts.candidates)
-    ctx = Fb.ctx
-    prods, built = counted_minimal_products(Fb, Fraction(3), monkeypatch)
-    assert built == 196
-    stacked = sum(len(multiples(g, ctx)) for g in prods)
-    handed = []
-    rref = gls._rref
-
-    def counting_rref(field, rows):
-        handed.append(len(rows))
-        return rref(field, rows)
-
-    monkeypatch.setattr(gls, "_rref", counting_rref)
-    got = ideal_image(prods, ctx)
-    assert (len(prods), stacked, handed) == (137, 9024, [582])
-    monkeypatch.undo()
-    assert got.equals(unpruned(prods, ctx))
+    return Fb
 
 
-def reference_divides(a, b) -> bool:
-    """Does the monomial X^a divide X^b (the pairwise test _pruned used to
-    make)."""
-    return all(x <= y for x, y in zip(a, b))
+def basis_digest(S):
+    B = S.basis
+    return hashlib.sha256(B.rows.tobytes() + B.cols.tobytes() + B.vals.tobytes()).hexdigest()
 
 
-def reference_pruned(gens, ctx):
-    """_pruned as it was written before it sorted each generator's exponents
-    once: per-term pairs, the content by zip, and a Python divisibility
-    test."""
-    F = ctx.field
-    contents = {}
-    kept = []
-    for p in sorted((g.truncate(ctx.D) for g in gens), key=Poly.order):
-        if p.is_zero():
-            continue
-        terms = sorted(p.terms.items())
-        E = tuple(map(min, zip(*(e for e, _ in terms))))
-        scale = F.inv(terms[0][1])
-        P = tuple((tuple(x - y for x, y in zip(e, E)), F.mul(scale, c)) for e, c in terms)
-        seen = contents.setdefault(P, [])
-        if any(reference_divides(K, E) for K in seen):
-            continue
-        seen.append(E)
-        kept.append(p)
-    return kept
+# level -> (products walked, mul_trunc calls, rows handed to _rref, dim,
+# basis digest prefix).  The digests and dims were recorded from the
+# all-generator walk with pruned stacks, which built 15, 52, 196, 567, 1,450
+# and 232 products and handed 659, 628, 582, 949, 636 and 69 rows.
+SATURATED_LEVELS = {
+    1: (2, 1, 452, 449, "4ebe0ed3580c"),
+    2: (2, 1, 446, 436, "a6939784ceb3"),
+    3: (2, 1, 437, 414, "95493c7ed179"),
+    4: (3, 2, 422, 378, "fe77cd3704dc"),
+    6: (3, 2, 334, 257, "6dd0279dd9c2"),
+    9: (4, 3, 51, 46, "4675d10ef5c1"),
+}
+
+
+def test_pruning_cuts_the_rows_of_the_saturated_level_ideal(monkeypatch):
+    # the ten monomial generators are one weight table and only the powers
+    # of x^3 + y^4 + z^5 are walked, so each level builds at most three
+    # products; the rows are the multiples of the empty product and of
+    # those powers by the columns in their weight windows
+    Fb = saturated_pin()
+    for a, (nprods, nbuilt, nrows, dim, digest) in SATURATED_LEVELS.items():
+        prods, built = counted_minimal_products(Fb, Fraction(a), monkeypatch)
+        handed = []
+        rref = gls._rref
+
+        def counting_rref(field, rows):
+            handed.append(len(rows))
+            return rref(field, rows)
+
+        monkeypatch.setattr(gls, "_rref", counting_rref)
+        Fb._level_cache.clear()
+        got = Fb.ideal_at_level(a)
+        monkeypatch.undo()
+        assert (len(prods), built, handed, got.dim) == (nprods, nbuilt, [nrows], dim), a
+        assert basis_digest(got).startswith(digest), a
+
+
+def test_level_six_builds_at_most_two_products(monkeypatch):
+    Fb = saturated_pin()
+    calls = []
+    mul = Poly.mul_trunc
+
+    def counting(self, other, D):
+        calls.append(None)
+        return mul(self, other, D)
+
+    monkeypatch.setattr(Poly, "mul_trunc", counting)
+    Fb.ideal_at_level(6)
+    assert len(calls) <= 2
 
 
 def random_scalar(F, rnd):
     if F.char:
         return rnd.randrange(1, F.p ** F.m)
     return Fraction(rnd.choice([-3, -2, -1, 1, 2, 5]), rnd.choice([1, 2, 3]))
-
-
-def random_generators(F, rnd):
-    """A context and a list holding base generators, exact duplicates, scalar
-    twins, monomial multiples (some past D), monomials, terms above D and
-    generators that truncate to zero."""
-    ctx = TruncationContext(F, rnd.randint(1, 4), rnd.randint(2, 7), frozenset())
-    d, D = ctx.nvars, ctx.D
-    mons = monomial_basis(d, D + 2)[0]
-
-    def poly(n):
-        return Poly(F, d, {rnd.choice(mons): random_scalar(F, rnd) for _ in range(n)})
-
-    gens = [poly(rnd.randint(1, 4)) for _ in range(rnd.randint(1, 5))]
-    gens += [Poly.monomial(F, d, rnd.choice(mons), random_scalar(F, rnd))
-             for _ in range(rnd.randint(0, 3))]
-    gens += [Poly.monomial(F, d, (D + 1,) + (0,) * (d - 1))]  # zero truncation
-    for _ in range(rnd.randint(3, 12)):
-        g = rnd.choice(gens)
-        kind = rnd.randrange(3)
-        if kind == 0:
-            gens.append(g)
-        elif kind == 1:
-            gens.append(g.scale(random_scalar(F, rnd)))
-        else:
-            gens.append(g.shift(rnd.choice(mons[:comb(2 + d, d)])).scale(random_scalar(F, rnd)))
-    rnd.shuffle(gens)
-    return ctx, gens
-
-
-@pytest.mark.parametrize("F", FIELDS, ids=str)
-def test_pruning_matches_the_pairwise_reference(F):
-    rnd = random.Random(f"pruned:{F!r}")
-    for _ in range(150):
-        ctx, gens = random_generators(F, rnd)
-        want = reference_pruned(gens, ctx)
-        got = gls._pruned(gens, ctx)
-        assert [p.terms for p in got] == [p.terms for p in want]
-        assert [list(p.terms) for p in got] == [list(p.terms) for p in want]
 
 
 def monomial_mixture(F, rnd):
@@ -256,26 +181,21 @@ def test_monomial_columns_keep_the_span(F):
     rnd = random.Random(f"columns:{F!r}")
     for _ in range(60):
         ctx, gens = monomial_mixture(F, rnd)
-        assert ideal_image(gens, ctx).equals(unpruned(gens, ctx))
+        assert ideal_image(gens, ctx).equals(unpruned_span(gens, ctx))
 
 
 def test_no_one_term_generator_reaches_pruning_or_multiples(monkeypatch):
     """During analyze of the gf3_d3_D12 pin, ideal_image takes every monomial
-    generator as columns: neither _pruned nor multiples sees one."""
+    generator and every one-term product as columns: multiples never sees
+    one."""
     from idfilt.pipeline import analyze
     seen = []
-    pruned, mults = gls._pruned, gls.multiples
+    mults = gls.multiples
 
-    def counting_pruned(gens, ctx):
-        gens = list(gens)
-        seen.extend(gens)
-        return pruned(gens, ctx)
-
-    def counting_multiples(g, ctx, low=0):
+    def counting_multiples(g, ctx, cols):
         seen.append(g)
-        return mults(g, ctx, low)
+        return mults(g, ctx, cols)
 
-    monkeypatch.setattr(gls, "_pruned", counting_pruned)
     monkeypatch.setattr(gls, "multiples", counting_multiples)
     analyze(parse_spec(PINNED_REPORTS["gf3_d3_D12"][0]))
     assert seen and all(len(g.terms) > 1 for g in seen)

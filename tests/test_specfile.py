@@ -124,3 +124,24 @@ def test_roundtrip():
     ):
         spec = parse_spec(text)
         assert parse_spec(print_spec(spec)) == spec
+
+
+@pytest.mark.parametrize("names", ["2, y", "x y, z", "x, y-1", "x, é"])
+def test_parse_error_variable_name_the_grammar_cannot_read(names):
+    # "2" would read as a scalar in a generator, "x y" as two names
+    with pytest.raises(SpecError) as exc:
+        parse_spec(f"field: GF(3)\nvars: {names}\ntruncation: 4\ngen: y^2 @ 1\n")
+    assert exc.value.code == "E_VAR" and exc.value.line == 2
+    assert "identifier" in str(exc.value)
+
+
+def test_parse_identifier_names():
+    spec = parse_spec("field: GF(3)\nvars: x_1, _y, Z9\ntruncation: 4\ngen: x_1*Z9 + _y^2 @ 1\n")
+    assert spec.names == ["x_1", "_y", "Z9"]
+
+
+def test_parse_error_repeated_boundary_variable():
+    with pytest.raises(SpecError) as exc:
+        parse_spec(VALID + "boundary: y, y\n")
+    assert exc.value.code == "E_VAR" and exc.value.line == 7
+    assert parse_spec(VALID + "boundary: y, x\n").boundary == ["y", "x"]
