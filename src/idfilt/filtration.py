@@ -41,8 +41,9 @@ class FiltrationSpec:
         for f, a in gens:
             if f.field != ctx.field or f.nvars != ctx.nvars:
                 raise ValueError("generator does not live in the ambient ring")
-            a = Fraction(a)
-            if a <= 0 or f.is_zero():
+            if not isinstance(a, Fraction):
+                a = Fraction(a)
+            if a.numerator <= 0 or f.is_zero():
                 continue
             clean.setdefault((a, f.sort_key()), (f, a))
         self.ctx = ctx
@@ -75,6 +76,13 @@ class FiltrationSpec:
         from .poly import poly_str
         inner = ", ".join(f"({poly_str(f)} @ {a})" for f, a in self.gens)
         return f"FiltrationSpec[{inner}]"
+
+    def copy(self) -> "FiltrationSpec":
+        """The same filtration with no level ideal cached: it shares the
+        normalized generators, so nothing is normalized again."""
+        out = object.__new__(FiltrationSpec)
+        out.ctx, out.gens, out._level_cache, out._tables = self.ctx, self.gens, {}, None
+        return out
 
     def truncated(self, n: int) -> "FiltrationSpec":
         """The same generators truncated at n, over R/m^(n+1) (same field,

@@ -36,12 +36,13 @@ Every basis, like every stack, is a Coords: its nonzero entries, sorted by
 row, then column, as int64 values over a finite field (residues in [0, p)
 over GF(p), codes in [0, q) over GF(p^m)) and Fractions over QQ.  A slice by
 pivot degree is a row range, and equal spaces have equal arrays.  Dense
-arrays are only the kernel's residual block and the vector of a membership
-test (_matrix; over QQ its zero cells are the int 0, so `not v.any()` runs
-in C); a canonical row is zero on every other pivot, so reduce_vec makes
-dense only the rows of the pivots v meets.  _rref and reduce_vec pick the
-kernel: rref_mod_p / reduce_mod_p (with the field's lookup tables over
-GF(p^m)) for every finite field, rref_generic / reduce_generic for QQ.
+arrays are only the block the presolve leaves the kernel and the vector of
+a membership test (_matrix; over QQ its zero cells are the int 0, so
+`not v.any()` runs in C); a canonical row is zero on every other pivot, so
+reduce_vec makes dense only the rows of the pivots v meets.  _rref and
+reduce_vec pick the kernel: rref_mod_p / reduce_mod_p (with the field's
+lookup tables over GF(p^m)) for every finite field, rref_generic /
+reduce_generic for QQ.
 Over QQ, rref_generic eliminates modulo word-size primes in that same
 numpy kernel and certifies the rational result exactly (see _linalg);
 reduce_generic, exact object-array updates on the nonzero columns of each
@@ -54,18 +55,26 @@ truncated ring.
 
 Every stack reaches _rref as coordinates, none built dense: multiples,
 polynomials (Coords.of_polys), and the bases a sum, a meet or a check
-stacks.  _rref first takes out the unit rows: the level ideals' stacks
-are mostly rows with one nonzero, whose columns U are then pivot columns
-of the RREF with unit rows e_c.  Clearing U from the other rows can leave
-new singletons, so this repeats; it is the singleton step of structured
-Gaussian elimination (LaMacchia and Odlyzko, "Solving large sparse
-linear systems over finite fields", CRYPTO 1990), structural pivots found
-before any arithmetic.  Only the rows left nonzero, on the columns
-outside U, are made dense for the kernel.  Those RREF rows vanish on U and
-the rows e_c vanish on their pivots, so the two sets together, sorted by
-pivot, are the canonical RREF of the whole matrix.  At GF(3), d=4, D=14
-a level-ideal stack of 3,577 x 3,060 with 5,293 nonzeros leaves the kernel
-20 x 493.
+stacks.  _rref presolves them by structural pivots, found before any
+arithmetic (LaMacchia and Odlyzko, "Solving large sparse linear systems
+over finite fields", CRYPTO 1990).  First the unit rows: the level
+ideals' stacks are mostly rows with one nonzero, whose columns U are then
+pivot columns of the RREF with unit rows e_c; clearing U from the other
+rows can leave new singletons, so this repeats.  Then, over a finite
+field, the leading columns of the rows left: the first row at each
+distinct leading column is a pivot, and those rows form a triangular
+block A (Faugere and Lachartre, "Parallel Gaussian elimination for
+Groebner bases computations in finite fields", PASCO 2010).  A is made
+unit-led and reduced among itself sparsely, from its rightmost lead to its
+leftmost, into rows that vanish on each other's leads; the other rows,
+reduced by it in one pass, vanish on every lead, and only their nonzero
+remainders, the Schur complement, are made dense on their own columns for
+the kernel.  Its RREF rows vanish on U and on A's leads; reducing A by
+them, the three sets of rows, sorted by pivot, are the canonical RREF of
+the whole matrix.  Over QQ the rows left after the unit rows go to the
+multimodular kernel as they are.  At GF(3), d=4, D=14 the stack of H's
+multiples, 1,365 x 3,060 with 3,081 nonzeros, leaves 861 rows with
+distinct leads, so the kernel gets nothing.
 
 Vectors have N = C(D+d, d) coordinates; the supported envelope is d <= 6,
 D <= 16.  The spec parser still refuses a ring whose level-0 ideal, as an
@@ -77,7 +86,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import comb
 from operator import itemgetter
 
@@ -211,56 +220,148 @@ class Coords:
 def _rref(field, stack):
     """(canonical RREF basis, pivot columns as ints) of the rows of a Coords.
 
-    A stack with no entries spans zero.  Otherwise the singleton presolve
-    takes the unit rows out; the field's kernel eliminates only the rows it
-    leaves nonzero, on the columns it has not taken, made dense, and the
-    unit rows e_c of the taken columns c join its RREF rows at their sorted
-    pivot positions.  A kernel row's nonzeros come in column order, so a
-    stable sort by row orders the basis entries."""
+    A stack with no entries spans zero.  Otherwise the presolve takes the
+    unit rows out (_singletons) and, over a finite field, reduces the
+    triangular part of the rows they leave (_structural); the field's
+    kernel eliminates only the rows left nonzero, made dense on their own
+    columns (_kernel), and the triangular rows are reduced by the kernel's
+    rows.  The unit rows e_c, the triangular rows and the kernel's rows,
+    sorted by pivot, are the basis."""
+    N = stack.shape[1]
     if not stack.vals.size:
-        return Coords(stack.rows, stack.cols, stack.vals, (0, stack.shape[1])), []
-    taken, cnt, left = _singletons(stack.rows, stack.cols, stack.shape)
-    units, free, live = taken.nonzero()[0], (~taken).nonzero()[0], cnt.nonzero()[0]
+        return Coords(stack.rows, stack.cols, stack.vals, (0, N)), []
+    taken, left = _singletons(stack.rows, stack.cols, stack.shape)
+    units = taken.nonzero()[0]
+    if not left.size:
+        return _units_of(field, units, N), units.tolist()
     r, c, vals = stack.rows[left], stack.cols[left], stack.vals[left]
-    if field.char and field.tables is None:
-        vals %= field.p  # Poly coefficients may lie outside [0, p)
-    block = Coords(live.searchsorted(r), free.searchsorted(c), vals,
-                   (live.size, free.size)).dense(field)
-    if not live.size:
-        red, piv = block, []
-    elif field.char:
-        red, piv = rref_mod_p(block, field.p, field.tables)
-    else:
-        red, piv = rref_generic(list(block))
-    piv = free[piv]
-    pivots = np.sort(np.concatenate([units, piv]))
-    kr, kc = red.nonzero()
-    rows = np.concatenate([pivots.searchsorted(units), pivots.searchsorted(piv)[kr]])
-    order = rows.argsort(kind="stable")
-    cols = np.concatenate([units, free[kc]])
-    vals = np.concatenate([np.full(units.size, field.one(), dtype=block.dtype), red[kr, kc]])
-    return (Coords(rows[order], cols[order], vals[order], (pivots.size, stack.shape[1])),
-            pivots.tolist())
+    tri = {}
+    if field.char:
+        if field.tables is None:
+            vals %= field.p  # Poly coefficients may lie outside [0, p)
+        tri, (r, c, vals) = _structural(field, r, c, vals)
+    piv, (kp, kc, kv) = _kernel(field, r, c, vals, stack.shape)
+    if tri and piv.size:
+        by_pivot = _row_dicts(kp, kc, kv)
+        tri = {lead: _reduced(field, row, by_pivot) for lead, row in tri.items()}
+    leads = np.fromiter(tri, np.intp, len(tri))
+    sizes, tc, tv = _entries(tri.values())
+    pivots = np.sort(np.concatenate([units, leads, piv]))
+    owner = np.concatenate([units, np.repeat(leads, sizes), kp])
+    cols = np.concatenate([units, tc, kc])
+    vals = np.concatenate([np.full(units.size, field.one(), dtype=vals.dtype), tv, kv])
+    rows = pivots.searchsorted(owner)
+    order = (rows * N + cols).argsort(kind="stable")
+    return Coords(rows[order], cols[order], vals[order], (pivots.size, N)), pivots.tolist()
 
 
 def _singletons(r, c, shape):
-    """(taken, cnt, left) for the nonzero entries at rows r, columns c: the
-    columns taken as unit pivots, each row's count of nonzeros outside them,
-    and the indices of the entries outside them.  A round takes the columns
-    of the rows counted 1, drops the entries in those columns and subtracts
-    their bincount; clearing them can leave new singletons for the next."""
+    """(taken, left) for the nonzero entries at rows r, columns c: the
+    columns taken as unit pivots and the indices of the entries outside
+    them.  A round takes the columns of the rows with one nonzero left,
+    drops the entries in those columns and subtracts their bincount from
+    the rows' counts; clearing them can leave new singletons for the next."""
     cnt = np.bincount(r, minlength=shape[0])
     taken = np.zeros(shape[1], dtype=bool)
     left = np.arange(len(r))
     while True:
         cols = c[cnt[r] == 1]
         if not cols.size:
-            return taken, cnt, left
+            return taken, left
         taken[cols] = True
         hit = taken[c]
         cnt -= np.bincount(r[hit], minlength=shape[0])
         stay = ~hit
         r, c, left = r[stay], c[stay], left[stay]
+
+
+def _structural(field, r, c, vals):
+    """(tri, Schur complement) of the entries at rows r, columns c over a
+    finite field.
+
+    The first row at each distinct leading column is a structural pivot.
+    Made unit-led and back-substituted among themselves from the rightmost
+    lead to the leftmost, they form tri: dicts from column to value, keyed
+    by lead, each vanishing on the other leads, since the rows it subtracts
+    were reduced before it and start right of its lead.  Every other row,
+    reduced by tri in one pass, vanishes on all leads; the nonzero
+    remainders, as (rows, columns, values) arrays, are the Schur complement."""
+    order = np.lexsort((c, r))
+    tri, rest = {}, []
+    for row in _row_dicts(r[order], c[order], vals[order]).values():
+        lead = next(iter(row))
+        if lead in tri:
+            rest.append(row)
+        else:
+            tri[lead] = row
+    for lead in sorted(tri, reverse=True):
+        row = tri[lead]
+        s = field.inv(row[lead])
+        if s != 1:
+            row = {j: field.mul(s, x) for j, x in row.items()}
+        tri[lead] = _reduced(field, row, tri, lead)
+    schur = [row for row in (_reduced(field, row, tri) for row in rest) if row]
+    sizes, sc, sv = _entries(schur)
+    return tri, (np.repeat(np.arange(len(schur)), sizes), sc, sv)
+
+
+def _row_dicts(keys, cols, vals):
+    """{key: {column: value}} of the entries (arrays), in entry order."""
+    out = {}
+    for i, j, x in zip(keys.tolist(), cols.tolist(), vals.tolist()):
+        out.setdefault(i, {})[j] = x
+    return out
+
+
+def _entries(rows):
+    """(sizes, columns, values) of dict rows over a finite field: each
+    row's entry count, then the columns and values of all rows in order."""
+    rows = list(rows)
+    sizes = [len(row) for row in rows]
+    n = sum(sizes)
+    return (sizes, np.fromiter(chain.from_iterable(rows), np.intp, n),
+            np.fromiter(chain.from_iterable(row.values() for row in rows), np.int64, n))
+
+
+def _reduced(field, row, by, keep=None):
+    """The dict row minus x times by[j] for each entry x at a column j of
+    by other than keep.  The rows of by are unit at their key and vanish on
+    each other's keys, so one pass clears every such column."""
+    out = row
+    for j, x in row.items():
+        if j != keep and j in by:
+            if out is row:
+                out = dict(row)
+            f = field.neg(x)
+            for k, y in by[j].items():
+                out[k] = field.add(out.get(k, 0), field.mul(f, y))
+    return out if out is row else {k: x for k, x in out.items() if x}
+
+
+def _kernel(field, r, c, vals, shape):
+    """(pivots, (pivot, column, value) of each nonzero) of the RREF of the
+    entries at rows r, columns c: the field's kernel on them made dense,
+    on the rows and columns that hold them."""
+    if not r.size:
+        none = np.empty(0, dtype=np.intp)
+        return none, (none, none, vals)
+    (live, i), (free, j) = _ranks(r, shape[0]), _ranks(c, shape[1])
+    block = Coords(i, j, vals, (live.size, free.size)).dense(field)
+    if field.char:
+        red, piv = rref_mod_p(block, field.p, field.tables)
+    else:
+        red, piv = rref_generic(list(block))
+    piv = free[piv]
+    kr, kc = red.nonzero()
+    return piv, (piv[kr], free[kc], red[kr, kc])
+
+
+def _ranks(idx, n):
+    """(the distinct values of an index array below n, ascending, and the
+    rank of each entry among them)."""
+    seen = np.zeros(n, dtype=bool)
+    seen[idx] = True
+    return seen.nonzero()[0], (np.cumsum(seen) - 1)[idx]
 
 
 def rref(field, rows):
@@ -504,12 +605,16 @@ def ideal_image(gens, ctx: TruncationContext, cols=None) -> GradedSubspace:
 
 
 def _units(ctx: TruncationContext, cols) -> GradedSubspace:
-    """The span of the unit vectors e_c for an ascending array of columns c,
-    already canonical: row k is e_(cols[k])."""
+    """The span of the unit vectors e_c for an ascending array of columns c."""
     N = len(monomial_basis(ctx.nvars, ctx.D)[0])
-    vals = np.full(cols.size, ctx.field.one(), dtype=np.int64 if ctx.field.char else object)
-    return GradedSubspace(ctx, Coords(np.arange(cols.size), cols, vals, (cols.size, N)),
-                          cols.tolist())
+    return GradedSubspace(ctx, _units_of(ctx.field, cols, N), cols.tolist())
+
+
+def _units_of(field, cols, N):
+    """The unit rows e_c of N columns for an ascending array of columns c,
+    already canonical: row k is e_(cols[k])."""
+    vals = np.full(cols.size, field.one(), dtype=np.int64 if field.char else object)
+    return Coords(np.arange(cols.size), cols, vals, (cols.size, N))
 
 
 def power_m(n: int, ctx: TruncationContext) -> GradedSubspace:

@@ -270,7 +270,7 @@ def b_saturate_probe(F: FiltrationSpec, bounds: RadicalProbeBounds = RadicalProb
 
     Returns (saturated FiltrationSpec, list of (poly, level, witness_n)).
     """
-    sat = d_saturate_log(F) if sat is None else FiltrationSpec(F.ctx, sat.gens)
+    sat = d_saturate_log(F) if sat is None else sat.copy()
     roots = _root_candidates(sat)
     pool = list(roots) + _theta_candidates(sat, roots) + \
         [(g, Fraction(a)) for g, a in candidates]

@@ -170,6 +170,12 @@ PINNED_REPORTS = {
     "gf3_d4_D14": ("field: GF(3)\nvars: x, y, z, w\ntruncation: 14\n"
                    "gen: x^3 + y^4 + z^5 @ 3\ngen: x*y*z @ 2\n",
                    "c719b920567a5331fa1211083f209046ba00b01c5796ba2c26de83780e716c80"),
+    # the admitted edge at d=4: the stacks of H's multiples have distinct
+    # leading columns per generator, which the structural pivots reduce
+    # without a dense block; recorded before the structural step existed
+    "gf3_d4_D16": ("field: GF(3)\nvars: x, y, z, w\ntruncation: 16\n"
+                   "gen: x^3 + y^4 + z^5 @ 3\ngen: x*y*z @ 2\n",
+                   "0280269ff4db63d06e9f4aac1af8c6d63c5c51b2722942a26fdadc3ea29e87cd"),
     # the envelope's edge, d=6: bases of up to 6,997 rows over N = 8,008
     # columns, nearly all unit rows, recorded when bases were dense N-wide
     # arrays (about 1.7 GB), so it cross-checks the coordinate storage

@@ -9,6 +9,7 @@ reference in test_fields.
 
 from fractions import Fraction
 from math import isqrt
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -270,9 +271,13 @@ def unit_row_cases(F):
         ([[z, z], [z, z]], None),  # all rows zero: no row is left for the kernel
         ([[o, z, z], [o, o, z], [z, o, o]], None),  # e_0, e_0+e_1, e_1+e_2: no column left
         # e_0, e_0+e_1 and c*e_4 are pivots after two rounds; two rows are left on
-        # columns 2 and 3, and the zero row drops
+        # columns 2 and 3, and the zero row drops; over a finite field the first
+        # of them is a structural pivot that clears the second
         ([[o, z, z, z, z], [o, o, z, z, z], [z, z, z, z, c], [z, z, o, o, z],
-          [z, z, o, o, o], [z, z, z, z, z]], (2, 2)),
+          [z, z, o, o, o], [z, z, z, z, z]], (2, 2) if not F.char else None),
+        # no singleton; the first row is the structural pivot at column 0, and
+        # the other two, reduced by it, are the Schur complement on columns 1-3
+        ([[o, o, z, z], [o, z, c, z], [o, z, z, o]], (3, 4) if not F.char else (2, 3)),
     ]
 
 
@@ -292,6 +297,77 @@ def test_presolve_leaves_only_the_residual_block(F, monkeypatch):
         shapes.clear()
         assert gls.rref(F, rows) == gauss_jordan(F, rows)
         assert shapes == ([] if shape is None else [shape])
+
+
+# the structural step over finite fields ---------------------------------------
+
+STRUCTURAL_FIELDS = [PrimeField(2), PrimeField(3), ExtensionField(3, 2), PrimeField(2147483647)]
+
+
+@st.composite
+def structured_rows(draw, F, ncols):
+    """Rows of two or more nonzeros whose leading columns come from a few
+    columns, so that leads repeat and the rows after the first at a lead
+    leave remainders; plus duplicates, scalar multiples, combinations of
+    two rows (which cancel to zero once reduced), differences of a row with
+    itself (zero rows), and now and then a unit row, all in drawn order."""
+    nonzero = scalars(F).filter(lambda c: not F.is_zero(c))
+    leads = draw(st.lists(st.integers(0, ncols - 2), min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        j = draw(st.sampled_from(leads))
+        tail = draw(st.sets(st.integers(j + 1, ncols - 1), min_size=1, max_size=3))
+        rows.append([draw(nonzero) if c == j or c in tail else F.zero() for c in range(ncols)])
+    for _ in range(draw(st.integers(0, 4))):
+        a, b, c = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(nonzero)
+        u = draw(st.integers(0, ncols - 1))
+        rows.append(draw(st.sampled_from([
+            list(a), [F.mul(c, x) for x in a], [F.add(x, F.mul(c, y)) for x, y in zip(a, b)],
+            [F.sub(x, x) for x in a], [c if k == u else F.zero() for k in range(ncols)]])))
+    return draw(st.permutations(rows))
+
+
+def schur_complement(F, rows):
+    """The oracle's Schur complement of rows with no unit row: the residues,
+    modulo the span of the first row at each leading column, of the other
+    rows, those left nonzero restricted to the columns they hold."""
+    lead = {}
+    for row in rows:
+        j = next((k for k, x in enumerate(row) if not F.is_zero(x)), None)
+        if j is not None:
+            lead.setdefault(j, row)
+    pivots = gauss_jordan(F, list(lead.values()))
+    rest = [residue(F, pivots, row) for row in rows
+            if any(not F.is_zero(x) for x in row) and not any(row is r for r in lead.values())]
+    rest = [v for v in rest if any(not F.is_zero(x) for x in v)]
+    cols = [k for k in range(len(rows[0])) if any(not F.is_zero(v[k]) for v in rest)]
+    return [[v[k] for k in cols] for v in rest]
+
+
+@pytest.mark.parametrize("F", STRUCTURAL_FIELDS, ids=str)
+@ORACLE
+@given(data=st.data())
+def test_structural_pivots_match_the_oracle(F, data):
+    """gls.rref and from_vectors on stacks with repeated leading columns,
+    dependent and zero rows and nonempty Schur complements equal the
+    oracle's RREF; with no unit row, the kernel receives exactly the Schur
+    complement, and nothing when it is empty."""
+    ctx = TruncationContext(F, 2, 3, frozenset())
+    N = len(monomial_basis(2, 3)[0])
+    rows = data.draw(structured_rows(F, N))
+    want = gauss_jordan(F, rows)
+    blocks = []
+
+    def kernel(mat, *args):
+        blocks.append(mat.tolist())
+        return rref_mod_p(mat, *args)
+
+    with patch.object(gls, "rref_mod_p", kernel):
+        assert gls.rref(F, rows) == want
+        assert engine_basis(GradedSubspace.from_vectors(ctx, coords_of(F, rows, N))) == want
+    if all(sum(not F.is_zero(x) for x in row) != 1 for row in rows):
+        schur = schur_complement(F, rows)
+        assert blocks == ([schur] * 2 if schur else [])
 
 
 def coords_of(F, rows, ncols):

@@ -78,6 +78,19 @@ def test_levels_nonpositive_and_zero_gens_normalized(QQ):
     assert len(F.gens) == 1
 
 
+def test_levels_read_once_and_copies_share_generators(QQ):
+    """A Fraction level is kept as given and an int becomes a Fraction; a
+    copy shares the normalized generators and caches no level ideal."""
+    ctx = ctx_of(QQ, 2, 6)
+    a = Fraction(3, 2)
+    F = FiltrationSpec(ctx, [(mk(QQ, "x"), a), (mk(QQ, "y"), 2), (mk(QQ, "x*y"), Fraction(0))])
+    assert [b for _, b in F.gens] == [a, 2] and F.gens[0][1] is a
+    assert all(type(b) is Fraction for _, b in F.gens)
+    F.ideal_at_level(1)
+    G = F.copy()
+    assert G == F and G.gens is F.gens and G._level_cache == {} and F._level_cache
+
+
 def test_unit_generator_short_circuits(QQ):
     ctx = ctx_of(QQ, 2, 6)
     F = FiltrationSpec(ctx, [(mk(QQ, "1 + x"), 2)])

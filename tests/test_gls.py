@@ -256,6 +256,17 @@ def test_envelope_analyze_keeps_no_dense_basis():
     assert peak_bytes(analyze, spec) < 64 * 2 ** 20
 
 
+def test_envelope_edge_reduces_h_without_a_dense_block():
+    """analyze of the gf3_d4_D16 pin: the structural pivots reduce the
+    stacks of H's multiples, whose blocks made dense for the kernel peaked
+    at about 51 MB traced; about 4.5 MB remain."""
+    from idfilt.pipeline import analyze
+    from idfilt.specfile import parse_spec
+    from tests.test_cli import PINNED_REPORTS
+    spec = parse_spec(PINNED_REPORTS["gf3_d4_D16"][0])
+    assert peak_bytes(analyze, spec) < 16 * 2 ** 20
+
+
 @pytest.mark.parametrize("d, D", [(1, 5), (2, 10), (3, 12), (4, 16), (6, 10), (6, 16)])
 def test_shift_map_matches_the_index_lookup(d, D):
     """The column of X^(A+e) from graded-lex ranks equals the index of A + e,

@@ -285,6 +285,8 @@ def test_b_saturate_probe_takes_the_d_saturation(F2, monkeypatch):
         want_sat, want_added = b_saturate_probe(F)
         assert sat.gens == want_sat.gens and added == want_added
         assert Fd._level_cache == {}
+        if not added:  # the copy shares the caller's generators
+            assert sat is not Fd and sat.gens is Fd.gens
     # one analyze saturates F0 once, and once more only after an addition
     calls = []
     derivative_gens = saturation._derivative_gens

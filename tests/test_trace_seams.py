@@ -21,6 +21,15 @@ truncation: 10
 gen: x^2 + y^3 @ 2
 """
 
+# the presolve leaves the showcase nothing to eliminate; this spec leaves the
+# kernel one Schur complement, so the kernel's span is recorded too
+SCHUR = """field: GF(3)
+vars: x, y, z
+truncation: 8
+gen: x + y^2 + z^3 @ 1
+gen: x + y^3 @ 1
+"""
+
 
 def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
@@ -36,6 +45,7 @@ def test_tracer_records_every_layer_and_uninstalls():
     tracing.install(tracer)
     try:
         analyze(parse_spec(SHOWCASE))
+        analyze(parse_spec(SCHUR))
     finally:
         tracer.uninstall()
     names = {rec[tracing.NAME] for rec in tracer.spans}
