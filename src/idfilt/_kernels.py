@@ -4,16 +4,16 @@ Over a finite field, every membership test ends in reduce_mod_p, on the
 basis rows whose pivots the vector meets, and every elimination that
 gls._rref cannot finish by its structural presolve ends in rref_mod_p on an
 int64 matrix; so does each prime of the multimodular elimination over QQ.
-Bases and stacks are (row, column, value) coordinates.  Over a finite
-field the presolve takes out the unit rows and reduces the triangular part
-of the rest, the first row at each leading column, sparsely; it makes
-dense only the Schur complement, the other rows' nonzero remainders on
-their own columns, so the tall stacks of multiples X^A g reach rref_mod_p
-as small blocks or not at all, and the kernel's result is read back as
-coordinates.  The kernels are vectorized numpy: each pivot step clears its
-column with one outer-product update.  One pivot loop serves every finite
-field; only the pivot scaling and the row update differ, and the field
-decides which runs:
+Bases and stacks are (row, column, value) coordinates.  On every field the
+presolve takes out the unit rows and reduces the triangular part of the
+rest, the first row at each leading column, sparsely; it makes dense only
+the Schur complement, the other rows' nonzero remainders on their own
+columns, so the tall stacks of multiples X^A g reach rref_mod_p, or the
+multimodular elimination over QQ, as small blocks or not at all, and the
+kernel's result is read back as coordinates.  The kernels are vectorized
+numpy: each pivot step clears its column with one outer-product update.
+One pivot loop serves every finite field; only the pivot scaling and the
+row update differ, and the field decides which runs:
 
 * GF(p) (tables is None): entries in [0, p) with % p arithmetic.
   PrimeField rejects any p with (p-1)^2 + (p-1) >= 2^63, so int64 products

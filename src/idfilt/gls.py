@@ -57,24 +57,24 @@ Every stack reaches _rref as coordinates, none built dense: multiples,
 polynomials (Coords.of_polys), and the bases a sum, a meet or a check
 stacks.  _rref presolves them by structural pivots, found before any
 arithmetic (LaMacchia and Odlyzko, "Solving large sparse linear systems
-over finite fields", CRYPTO 1990).  First the unit rows: the level
-ideals' stacks are mostly rows with one nonzero, whose columns U are then
-pivot columns of the RREF with unit rows e_c; clearing U from the other
-rows can leave new singletons, so this repeats.  Then, over a finite
-field, the leading columns of the rows left: the first row at each
-distinct leading column is a pivot, and those rows form a triangular
-block A (Faugere and Lachartre, "Parallel Gaussian elimination for
-Groebner bases computations in finite fields", PASCO 2010).  A is made
-unit-led and reduced among itself sparsely, from its rightmost lead to its
-leftmost, into rows that vanish on each other's leads; the other rows,
-reduced by it in one pass, vanish on every lead, and only their nonzero
-remainders, the Schur complement, are made dense on their own columns for
-the kernel.  Its RREF rows vanish on U and on A's leads; reducing A by
-them, the three sets of rows, sorted by pivot, are the canonical RREF of
-the whole matrix.  Over QQ the rows left after the unit rows go to the
-multimodular kernel as they are.  At GF(3), d=4, D=14 the stack of H's
-multiples, 1,365 x 3,060 with 3,081 nonzeros, leaves 861 rows with
-distinct leads, so the kernel gets nothing.
+over finite fields", CRYPTO 1990).  First the unit rows: the level ideals'
+stacks are mostly rows with one nonzero, whose columns U are then pivot
+columns of the RREF with unit rows e_c; clearing U from the other rows can
+leave new singletons, so this repeats.  Then the leading columns of the
+rows left: the first row at each distinct leading column is a pivot, and
+those rows form a triangular block A (Faugere and Lachartre, "Parallel
+Gaussian elimination for Groebner bases computations in finite fields",
+PASCO 2010).  A is made unit-led and reduced among itself sparsely, from
+its rightmost lead to its leftmost, into rows that vanish on each other's
+leads; the other rows, reduced by it in one pass, vanish on every lead,
+and only their nonzero remainders, the Schur complement, are made dense on
+their own columns for the kernel.  Its RREF rows vanish on U and on A's
+leads; reducing A by them, the three sets of rows, sorted by pivot, are
+the canonical RREF of the whole matrix.  The presolve is one path for
+every field, in its arithmetic (Fractions over QQ); only the kernel
+differs.  At GF(3), d=4, D=14 the stack of H's multiples, 1,365 x 3,060
+with 3,081 nonzeros, leaves 861 rows with distinct leads, so the kernel
+gets nothing.
 
 Vectors have N = C(D+d, d) coordinates; the supported envelope is d <= 6,
 D <= 16.  The spec parser still refuses a ring whose level-0 ideal, as an
@@ -146,13 +146,16 @@ def _shift_map(nvars: int, D: int, e):
     return out
 
 
+def _dtype(field):
+    """The field's array format: int64 over a finite field, object over QQ."""
+    return np.int64 if field.char else object
+
+
 def _matrix(field, shape):
-    """A zero dense matrix in the field's array format: int64 entries
-    (residues in [0, p) for GF(p), codes in [0, q) for GF(p^m)) over a
-    finite field, an object array over QQ whose zero cells are the int 0."""
+    """A zero dense matrix in the field's format (over QQ, int 0 cells)."""
     # int64 zeros come from calloc, so unwritten zero pages stay free; an
     # object array is written through, one reference to the int 0 a cell
-    return np.zeros(shape, dtype=np.int64 if field.char else object)
+    return np.zeros(shape, dtype=_dtype(field))
 
 
 class Coords:
@@ -192,8 +195,7 @@ class Coords:
                  for e, c in f.terms.items() if e in index]
         r, c, vals = zip(*cells) if cells else ((), (), ())
         return Coords(np.array(r, dtype=np.intp), np.array(c, dtype=np.intp),
-                      np.array(vals, dtype=np.int64 if ctx.field.char else object),
-                      (len(polys), len(mons)))
+                      np.array(vals, dtype=_dtype(ctx.field)), (len(polys), len(mons)))
 
     def dense(self, field):
         """The matrix in the field's dense format."""
@@ -220,8 +222,8 @@ class Coords:
 def _rref(field, stack):
     """(canonical RREF basis, pivot columns as ints) of the rows of a Coords.
 
-    A stack with no entries spans zero.  Otherwise the presolve takes the
-    unit rows out (_singletons) and, over a finite field, reduces the
+    A stack with no entries spans zero.  Otherwise the presolve, the same
+    on every field, takes the unit rows out (_singletons) and reduces the
     triangular part of the rows they leave (_structural); the field's
     kernel eliminates only the rows left nonzero, made dense on their own
     columns (_kernel), and the triangular rows are reduced by the kernel's
@@ -235,17 +237,15 @@ def _rref(field, stack):
     if not left.size:
         return _units_of(field, units, N), units.tolist()
     r, c, vals = stack.rows[left], stack.cols[left], stack.vals[left]
-    tri = {}
-    if field.char:
-        if field.tables is None:
-            vals %= field.p  # Poly coefficients may lie outside [0, p)
-        tri, (r, c, vals) = _structural(field, r, c, vals)
+    if field.char and field.tables is None:
+        vals %= field.p  # Poly coefficients may lie outside [0, p)
+    tri, (r, c, vals) = _structural(field, r, c, vals)
     piv, (kp, kc, kv) = _kernel(field, r, c, vals, stack.shape)
     if tri and piv.size:
         by_pivot = _row_dicts(kp, kc, kv)
         tri = {lead: _reduced(field, row, by_pivot) for lead, row in tri.items()}
     leads = np.fromiter(tri, np.intp, len(tri))
-    sizes, tc, tv = _entries(tri.values())
+    sizes, tc, tv = _entries(field, tri.values())
     pivots = np.sort(np.concatenate([units, leads, piv]))
     owner = np.concatenate([units, np.repeat(leads, sizes), kp])
     cols = np.concatenate([units, tc, kc])
@@ -276,8 +276,8 @@ def _singletons(r, c, shape):
 
 
 def _structural(field, r, c, vals):
-    """(tri, Schur complement) of the entries at rows r, columns c over a
-    finite field.
+    """(tri, Schur complement) of the entries at rows r, columns c, in the
+    field's arithmetic.
 
     The first row at each distinct leading column is a structural pivot.
     Made unit-led and back-substituted among themselves from the rightmost
@@ -301,7 +301,7 @@ def _structural(field, r, c, vals):
             row = {j: field.mul(s, x) for j, x in row.items()}
         tri[lead] = _reduced(field, row, tri, lead)
     schur = [row for row in (_reduced(field, row, tri) for row in rest) if row]
-    sizes, sc, sv = _entries(schur)
+    sizes, sc, sv = _entries(field, schur)
     return tri, (np.repeat(np.arange(len(schur)), sizes), sc, sv)
 
 
@@ -313,14 +313,14 @@ def _row_dicts(keys, cols, vals):
     return out
 
 
-def _entries(rows):
-    """(sizes, columns, values) of dict rows over a finite field: each
-    row's entry count, then the columns and values of all rows in order."""
+def _entries(field, rows):
+    """(sizes, columns, values) of dict rows: each row's entry count, then
+    the columns and values of all rows in order, in the field's format."""
     rows = list(rows)
     sizes = [len(row) for row in rows]
     n = sum(sizes)
     return (sizes, np.fromiter(chain.from_iterable(rows), np.intp, n),
-            np.fromiter(chain.from_iterable(row.values() for row in rows), np.int64, n))
+            np.fromiter(chain.from_iterable(row.values() for row in rows), _dtype(field), n))
 
 
 def _reduced(field, row, by, keep=None):
@@ -372,7 +372,7 @@ def rref(field, rows):
     """
     if not rows:
         return [], []
-    mat = np.array(rows, dtype=np.int64 if field.char else object)
+    mat = np.array(rows, dtype=_dtype(field))
     if field.char and field.tables is None:
         mat %= field.p  # else an entry p alone in its row would be a unit pivot
     red, piv = _rref(field, Coords.of_rows(mat))
@@ -545,7 +545,7 @@ def multiples(g: Poly, ctx: TruncationContext, cols) -> Coords:
     maps = [_shift_map(ctx.nvars, ctx.D, e) for e in g.terms]
     parts = [m[cols[:cols.searchsorted(len(m))]] for m in maps]
     sizes = [len(k) for k in parts]
-    vals = np.array(list(g.terms.values()), dtype=np.int64 if ctx.field.char else object)
+    vals = np.array(list(g.terms.values()), dtype=_dtype(ctx.field))
     none = np.empty(0, dtype=np.intp)
     return Coords(np.concatenate([np.arange(n) for n in sizes] + [none]),
                   np.concatenate(parts + [none]), np.repeat(vals, sizes),
@@ -613,7 +613,7 @@ def _units(ctx: TruncationContext, cols) -> GradedSubspace:
 def _units_of(field, cols, N):
     """The unit rows e_c of N columns for an ascending array of columns c,
     already canonical: row k is e_(cols[k])."""
-    vals = np.full(cols.size, field.one(), dtype=np.int64 if field.char else object)
+    vals = np.full(cols.size, field.one(), dtype=_dtype(field))
     return Coords(np.arange(cols.size), cols, vals, (cols.size, N))
 
 

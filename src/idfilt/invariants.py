@@ -387,14 +387,18 @@ def coefficient_decompose_check(F: FiltrationSpec, H: HSystem, a, mu) -> bool:
 
 
 def supporting3_check(H: HSystem, r: int) -> bool:
-    """(sum R h_l) intersect m^r == sum m^(r - p^e_l) h_l at truncation."""
+    """(sum R h_l) intersect m^r == sum m^(r - p^e_l) h_l at truncation.
+
+    ord(h_l) = p^e_l, so the right side lies in the left one by
+    construction, and they are equal when the right side's rank reaches
+    the left side's dim."""
     ctx = H.ctx
     if r < 0 or r > ctx.D:
         raise ValueError("r out of range")
-    lhs = H.ideal_space().meet_power_m(r)
     blocks = [multiples(h, ctx, power_m(r - H.level(l), ctx).basis.cols)
               for l, (h, _) in enumerate(H.entries)] or [Coords.of_polys([], ctx)]
-    return lhs.equals(GradedSubspace.from_vectors(ctx, Coords.stack(blocks)))
+    rank = GradedSubspace.from_vectors(ctx, Coords.stack(blocks)).dim
+    return H.ideal_space().meet_power_m(r).dim == rank
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ def rand_hsystem(rng, F, d, D):
     if p == 2 and D >= 4:
         profiles += [(0, 2), (2,), (1, 2)]
     prof = rng.choice([pr for pr in profiles if len(pr) <= d and
-                       all(p ** e <= D for e in pr)])
+                       all(p ** e <= D if p else e == 0 for e in pr)])
     entries = []
     for l, e in enumerate(sorted(prof)):
         q = p ** e

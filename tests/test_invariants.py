@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from idfilt import invariants, pipeline
-from idfilt.fields import ExtensionField, PrimeField
+from idfilt.fields import ExtensionField, PrimeField, RationalField
 from idfilt.filtration import FiltrationSpec
 from idfilt.gls import Coords, GradedSubspace, ideal_image, monomial_basis
 from idfilt.invariants import (HSystem, _b_range, _h_power, _inverse_last_row, build_Du,
@@ -215,6 +215,27 @@ def test_supporting3_examples(F2, QQ):
     H = HSystem(ctx, [(mk(F2, "x"), 0), (mk(F2, "y^2 + x^3"), 1)])
     for r in (0, 2, 4, 6):
         assert supporting3_check(H, r)
+
+
+@pytest.mark.parametrize("F", [PrimeField(2), PrimeField(3), ExtensionField(3, 2),
+                               RationalField()], ids=str)
+def test_supporting3_rank_matches_canonical_bases(F):
+    """supporting3_check compares a dim with a rank, since its right side
+    lies in (H) meet m^r by construction; on random systems, at every r,
+    that answers as the two canonical bases, the right side built from the
+    products X^A h_l with |A| >= r - p^e_l, compare."""
+    rng = random.Random(f"supporting3:{F}")
+    for _ in range(4):
+        H = rand_hsystem(rng, F, rng.choice([2, 3]), rng.choice([5, 6]))
+        ctx = H.ctx
+        mons = monomial_basis(ctx.nvars, ctx.D)[0]
+        for r in range(ctx.D + 1):
+            lhs = H.ideal_space().meet_power_m(r)
+            rhs = GradedSubspace.from_polys(ctx, [
+                Poly.monomial(F, ctx.nvars, A).mul_trunc(h, ctx.D)
+                for l, (h, _) in enumerate(H.entries) for A in mons
+                if sum(A) >= r - H.level(l)])
+            assert supporting3_check(H, r) == lhs.equals(rhs)
 
 
 def test_coefficient_examples(F2, QQ):
