@@ -34,7 +34,8 @@ from .values import SatValue, sat_min
 class FiltrationSpec:
     """Finite generator presentation of an idealistic filtration."""
 
-    __slots__ = ("ctx", "gens", "_level_cache", "_tables")
+    __slots__ = ("ctx", "gens", "grid_denominator", "trivial_full",
+                 "_level_cache", "_tables")
 
     def __init__(self, ctx: TruncationContext, gens):
         clean = {}  # (level, sort key) -> the first generator with that key
@@ -48,19 +49,14 @@ class FiltrationSpec:
             clean.setdefault((a, f.sort_key()), (f, a))
         self.ctx = ctx
         self.gens = tuple(clean[key] for key in sorted(clean))
+        # level ideals jump only on the grid 1/grid_denominator, and a
+        # positive-level unit generator makes every one of them all of R
+        self.grid_denominator = math.lcm(*(a.denominator for _, a in self.gens))
+        self.trivial_full = any(f.order() == 0 for f, _ in self.gens)
         self._level_cache = {}
         self._tables = None
 
     # presentation ---------------------------------------------------------
-
-    @property
-    def trivial_full(self) -> bool:
-        """A positive-level unit generator makes every level ideal all of R."""
-        return any(f.order() == 0 for f, _ in self.gens)
-
-    @property
-    def grid_denominator(self) -> int:
-        return math.lcm(*(a.denominator for _, a in self.gens))
 
     def grid_levels(self, up_to=None):
         """Positive multiples of 1/denominator up to the truncation degree."""
@@ -77,22 +73,32 @@ class FiltrationSpec:
         inner = ", ".join(f"({poly_str(f)} @ {a})" for f, a in self.gens)
         return f"FiltrationSpec[{inner}]"
 
-    def copy(self) -> "FiltrationSpec":
-        """The same filtration with no level ideal cached: it shares the
-        normalized generators, so nothing is normalized again."""
+    def _over(self, ctx) -> "FiltrationSpec":
+        """The same normalized generators over ctx, with nothing cached: the
+        weight table has one entry per monomial of its own ring."""
         out = object.__new__(FiltrationSpec)
-        out.ctx, out.gens, out._level_cache, out._tables = self.ctx, self.gens, {}, None
+        out.ctx, out.gens, out._level_cache, out._tables = ctx, self.gens, {}, None
+        out.grid_denominator, out.trivial_full = self.grid_denominator, self.trivial_full
         return out
 
+    def copy(self) -> "FiltrationSpec":
+        """The same filtration with no level ideal cached; nothing is
+        normalized again."""
+        return self._over(self.ctx)
+
     def truncated(self, n: int) -> "FiltrationSpec":
-        """The same generators truncated at n, over R/m^(n+1) (same field,
-        variables and boundary).  Its level ideals are the images of these in
-        that quotient: the quotient map is a ring map, and a generator it
-        kills only drops out of products that vanish there anyway."""
+        """The same generators over R/m^(n+1) (same field, variables and
+        boundary), and the filtration itself at n = D.  Its level ideals
+        are the images of these in that quotient: the quotient map is a
+        ring map, and a generator it kills only drops out of products that
+        vanish there anyway.  The generators are kept as they are, since
+        the level ideals truncate them at n, so read only the level ideals
+        of a truncation: its mu_P counts the generators that vanish at n."""
         if not 1 <= n <= self.ctx.D:
             raise ValueError("can only truncate at 1..D")
-        ctx = dataclasses.replace(self.ctx, D=n)
-        return FiltrationSpec(ctx, [(f.truncate(n), a) for f, a in self.gens])
+        if n == self.ctx.D:
+            return self
+        return self._over(dataclasses.replace(self.ctx, D=n))
 
     # level ideals -----------------------------------------------------------
 

@@ -238,7 +238,7 @@ def _rref(field, stack):
         return _units_of(field, units, N), units.tolist()
     r, c, vals = stack.rows[left], stack.cols[left], stack.vals[left]
     if field.char and field.tables is None:
-        vals %= field.p  # Poly coefficients may lie outside [0, p)
+        vals %= field.p  # a caller's Coords may hold ints outside [0, p)
     tri, (r, c, vals) = _structural(field, r, c, vals)
     piv, (kp, kc, kv) = _kernel(field, r, c, vals, stack.shape)
     if tri and piv.size:

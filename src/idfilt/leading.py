@@ -157,8 +157,9 @@ def extract_lgs(F: FiltrationSpec, E_max: int | None = None):
     lifted to a filtration element of the level ideal.  Until the first
     root, a pure part is read from F's level ideal I_q, which a nonzero
     pure part then needs for its lift anyway; after it, from
-    F.truncated(q) when q < D, so I_q is built over R/m^(D+1) only for a
-    level that adds a root.  Returns (LGS, SigmaSeq, LeadingAlgebra of F).
+    F.truncated(q), which is F at q = D, so I_q is built over R/m^(D+1)
+    only for a level that adds a root.  Returns (LGS, SigmaSeq,
+    LeadingAlgebra of F).
     """
     ctx = F.ctx
     p = ctx.field.char
@@ -175,7 +176,7 @@ def extract_lgs(F: FiltrationSpec, E_max: int | None = None):
     sigma_vals = []
     for e in range(E_max + 1):
         q = p ** e
-        Lq = leading_algebra(F.truncated(q)) if chosen and q < ctx.D else L
+        Lq = leading_algebra(F.truncated(q)) if chosen else L
         basis, roots = pure_part(Lq, e)
         rows = [linear_coefficients(v) for v in roots]
         sigma_vals.append(ctx.nvars - len(rows))

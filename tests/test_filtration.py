@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import itertools
 import math
 import random
@@ -478,3 +479,64 @@ def test_generators_match_the_two_key_construction(name, request):
         want = two_key_generators(ctx, gens)
         assert got == want
         assert [id(f) for f, _ in got] == [id(f) for f, _ in want]
+
+
+def truncation_cases(F, rnd):
+    """Seeded filtrations in two variables whose generators change under
+    truncation at small n: one vanishes below degree 3, one becomes a
+    monomial, two at one level become equal, beside a random generator; every
+    other case adds a unit.  Levels are integers, halves and thirds."""
+    levels = [Fraction(1, 3), Fraction(1, 2), 1, Fraction(3, 2), 2]
+
+    def term(lo, hi):
+        if F.char:
+            c = rnd.randrange(1, F.p ** F.m)
+        else:
+            c = Fraction(rnd.choice([-3, -1, 1, 2]), rnd.choice([1, 2]))
+        exps = rnd.choice([e for e in monomial_basis(2, hi)[0] if sum(e) >= lo])
+        return Poly.monomial(F, 2, exps, c)
+
+    for case in range(6):
+        D = rnd.randint(4, 6)
+        head, twin = term(1, 2), term(1, 2) + term(2, 2)
+        tails = [term(3, D), term(3, D) + term(4, D)]
+        gens = [(term(3, 3) + term(4, D), rnd.choice(levels)),
+                (head + tails[0], rnd.choice(levels)),
+                (term(1, D) + term(1, D) + term(2, D), rnd.choice(levels))]
+        a = rnd.choice(levels)
+        gens += [(twin + tails[0], a), (twin + tails[1], a)]
+        if case % 2:
+            gens.append((Poly.one(F, 2) + term(1, D), rnd.choice(levels)))
+        yield FiltrationSpec(ctx_of(F, 2, D), gens)
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F9", "QQ"])
+def test_truncation_is_the_generators_over_the_smaller_ring(name, request):
+    """F.truncated(n) keeps F's generators and reads them in R/m^(n+1): its
+    level ideals are those of the generators truncated at n and normalized
+    again, at every grid level a <= n + 1, and its weight table is its own.
+    The grid and the unit flag are those of the generators, and truncating
+    at D is F itself.  F's own level ideals are built first, so a truncation
+    that kept F's tables or F's ring would read them."""
+    F = request.getfixturevalue(name)
+    rnd = random.Random(f"truncation:{name}")
+    for spec in truncation_cases(F, rnd):
+        D = spec.ctx.D
+        delta = math.lcm(*(a.denominator for _, a in spec.gens))
+        unit = any(f.order() == 0 for f, _ in spec.gens)
+        for a in spec.grid_levels():
+            spec.ideal_at_level(a)
+        assert spec.truncated(D) is spec
+        for G in [spec, spec.copy()] + [spec.truncated(n) for n in range(1, D)]:
+            assert (G.grid_denominator, G.trivial_full) == (delta, unit)
+        for n in range(1, D):
+            small = spec.truncated(n)
+            ctx = dataclasses.replace(spec.ctx, D=n)
+            assert small.ctx == ctx and small.gens is spec.gens
+            ref = FiltrationSpec(ctx, [(f.truncate(n), a) for f, a in spec.gens])
+            assert n > 2 or len(ref.gens) < len(spec.gens)
+            for a in spec.grid_levels(n + 1):
+                assert small.ideal_at_level(a).equals(ref.ideal_at_level(a)), (spec, n, a)
+            # the weight table has one entry per monomial of its own ring
+            N = len(monomial_basis(2, n)[0])
+            assert unit or len(small._level_tables()[0]) == N
